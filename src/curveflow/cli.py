@@ -6,11 +6,11 @@ Subcommands::
     check     quick self-test of the kernel invariants on built-in scenarios
     resample  resample a polyline file onto N equal-edge points
 
-Exit codes: 0 success, 1 usage error, 2 assertion or bound violation.
+Exit codes: 0 success, 1 usage or input error, 2 error or bound violation
+while the flow runs.
 """
 
 import argparse
-import concurrent.futures
 import dataclasses
 import os
 import sys
@@ -29,6 +29,10 @@ from .scenarios import PRESETS, Scenario, make_scenario
 
 class UsageError(Exception):
     pass
+
+
+class FlowFailure(CurveFlowError):
+    """An error raised by the flow itself after its input was accepted."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,8 +81,6 @@ def build_parser() -> _Parser:
                        help="write per-step residual norms")
     run_p.add_argument("--grad-tol", type=float, default=None,
                        help="inner solver stationarity tolerance (default 1e-8)")
-    run_p.add_argument("--parallel", action="store_true",
-                       help="run multiple scenarios concurrently")
     run_p.add_argument("--config", default=None,
                        help="key=value file; explicit flags override it")
 
@@ -115,10 +117,12 @@ def _apply_config(args, config):
             setattr(args, attr, conv(val))
 
 
-def _run_one(name: str, args) -> int:
+def _run_one(name: str, args) -> None:
     if name == "file":
         if not args.infile:
             raise UsageError("--scenario file needs --in FILE")
+        if args.steps is None:
+            raise UsageError("--scenario file needs --steps")
         n = args.n if args.n is not None else 120
         scenario = Scenario(kind="file", n=n, path=args.infile)
         eps = args.eps if args.eps is not None else 0.01
@@ -134,8 +138,6 @@ def _run_one(name: str, args) -> int:
         tau = args.tau if args.tau is not None else preset.params.tau
         stop_tol = args.stop_tol if args.stop_tol is not None else preset.stop_tol
         max_steps = args.steps if args.steps is not None else preset.max_steps
-    if stop_tol is None and max_steps is None:
-        raise UsageError("need --steps or --stop-tol")
     out_dir = args.out if args.out is not None else "."
     fmt = args.format if args.format is not None else "jsonl"
     grad_tol = args.grad_tol if args.grad_tol is not None else 1e-8
@@ -150,7 +152,10 @@ def _run_one(name: str, args) -> int:
         snapshot_every=snapshot_every,
     )
     initial = make_scenario(scenario)
-    traj = run_flow(initial, cfg)
+    try:
+        traj = run_flow(initial, cfg)
+    except ValueError as exc:  # e.g. CuspAngle: not a usage error
+        raise FlowFailure(f"{type(exc).__name__}: {exc}") from exc
 
     os.makedirs(out_dir, exist_ok=True)
     traj_path = os.path.join(out_dir, f"{name}.{fmt}")
@@ -189,21 +194,14 @@ def _run_one(name: str, args) -> int:
     )
     for p in outputs:
         print(f"[{name}] wrote {p}")
-    return 0
 
 
 def cmd_run(args) -> int:
     if not args.scenario:
         raise UsageError("run needs at least one --scenario")
-    names = args.scenario
-    if args.parallel and len(names) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=len(names)) as ex:
-            codes = list(ex.map(lambda nm: _run_one(nm, args), names))
-        return max(codes)
-    code = 0
-    for nm in names:
-        code = max(code, _run_one(nm, args))
-    return code
+    for name in args.scenario:
+        _run_one(name, args)
+    return 0
 
 
 def cmd_check(args) -> int:

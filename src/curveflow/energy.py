@@ -40,9 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CuspAngle, DegenerateGap, MismatchedN
+from .errors import CuspAngle, DegenerateGap, MismatchedN, ZeroEdgeLength
 from .polyline import (
     CUSP_TOL,
+    GAP_FLOOR,
     DiscreteCurve,
     ReducedCoords,
     edge_frame,
@@ -143,11 +144,16 @@ def _objective_raw(z: np.ndarray, prev: PrevFrame, params: EnergyParams,
     """Objective F (and optionally its exact gradient) at a reduced-coordinate
     vector z = (bx, by, l, theta_1..theta_{N-1}).
 
-    Assumes l > 0, gap > 0 and no cusp angles; callers guard feasibility.
+    This is the feasibility test of the open set the implicit step lives on:
+    raises ZeroEdgeLength unless l > 0, DegenerateGap when the endpoint gap is
+    at or below GAP_FLOOR, and CuspAngle at anti-parallel consecutive edges.
+    A non-finite z gives a non-finite F rather than an error.
     """
+    ell = float(z[2])
+    if not (ell > 0.0):
+        raise ZeroEdgeLength(f"edge length {ell} is not positive")
     n = prev.n
     base = z[:2]
-    ell = float(z[2])
     theta = z[3:]
     eps, tau = params.epsilon, params.tau
 
@@ -158,8 +164,10 @@ def _objective_raw(z: np.ndarray, prev: PrevFrame, params: EnergyParams,
 
     d = x[-1] - x[0]
     gap2 = float(d @ d)
-    if gap2 <= 0.0:
-        raise DegenerateGap("endpoint gap vanishes; -log gap undefined")
+    if gap2 <= GAP_FLOOR * GAP_FLOOR:
+        raise DegenerateGap(
+            f"endpoint gap {np.sqrt(gap2):.3e} is at or below the floor"
+        )
 
     # Bending in the chart: kappa_i = (2/l) tan(delta_i/2) with delta the
     # heading increment, so (eps*l/2) sum kappa^2 = (2 eps / l) sum tan^2.

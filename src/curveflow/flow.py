@@ -17,13 +17,12 @@ import numpy as np
 from .energy import EnergyParams, dissipation, energy
 from .errors import BoundViolation, IndexOutOfRange
 from .minimize import (
-    GAP_FLOOR,
     SolverOptions,
     StepReport,
     assert_cone_condition,
     minimize_step,
 )
-from .polyline import DiscreteCurve, discrete_curvature, edge_frame, rot90
+from .polyline import GAP_FLOOR, DiscreteCurve, discrete_curvature, edge_frame, rot90
 
 ENERGY_SLACK = 1e-10
 DISSIPATION_SLACK = 1e-8
@@ -31,23 +30,21 @@ DISSIPATION_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Flow run parameters; at least one of n_steps / stop_tol must be set.
+    """Flow run parameters; ``n_steps`` caps every run.
 
-    Termination happens at whichever triggers first: the step count, or the
-    maximum vertex speed max_i |x_i^{n+1} - x_i^n| / tau dropping below
-    ``stop_tol``.
+    Termination happens at whichever triggers first: the step count, or, when
+    ``stop_tol`` is set, the maximum vertex speed
+    max_i |x_i^{n+1} - x_i^n| / tau dropping below it.
     """
 
     params: EnergyParams
-    n_steps: int | None = None
+    n_steps: int
     stop_tol: float | None = None
     solver: SolverOptions = field(default_factory=SolverOptions)
     snapshot_every: int = 1
 
     def __post_init__(self):
-        if self.n_steps is None and self.stop_tol is None:
-            raise ValueError("set n_steps, stop_tol, or both")
-        if self.n_steps is not None and self.n_steps < 1:
+        if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.stop_tol is not None and not (self.stop_tol > 0):
             raise ValueError("stop_tol must be positive")
@@ -214,9 +211,7 @@ def run_flow(initial: DiscreteCurve, cfg: FlowConfig) -> Trajectory:
     prev = initial
     e_prev = e0
     diss_sum = 0.0
-    step = 0
-    while cfg.n_steps is None or step < cfg.n_steps:
-        step += 1
+    for step in range(1, cfg.n_steps + 1):
         cur, report = minimize_step(prev, params, cfg.solver)
         d_over_tau = dissipation(cur, prev) / params.tau
         diss_sum += d_over_tau
@@ -248,7 +243,4 @@ def run_flow(initial: DiscreteCurve, cfg: FlowConfig) -> Trajectory:
         e_prev = e_next
         if done:
             break
-    if traj.snapshot_steps[-1] != step:
-        traj.snapshots.append(prev)
-        traj.snapshot_steps.append(step)
     return traj

@@ -4,9 +4,9 @@ The equal-edge constraint is eliminated by the (base, l, headings) chart, so
 the step is an unconstrained smooth minimization on an open set: l > 0, the
 endpoint gap above a small floor (the log barrier keeps the region open), and
 no anti-parallel edge pairs. A limited-memory BFGS iteration with Armijo
-backtracking is used; candidate steps leaving the open set are rejected by
-shrinking the step. Everything is deterministic: identical inputs produce
-bit-identical outputs.
+backtracking is used; the objective rejects steps that leave the open set by
+raising, and the line search halves such a step like any other failed trial.
+Everything is deterministic: identical inputs produce bit-identical outputs.
 """
 
 from dataclasses import dataclass
@@ -14,10 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyParams, PrevFrame, _objective_raw
-from .errors import CuspAngle, DegenerateGap, LineSearchFailure, MismatchedN
-from .polyline import CUSP_TOL, DiscreteCurve, ReducedCoords, from_reduced, to_reduced
+from .errors import (
+    CuspAngle,
+    DegenerateGap,
+    LineSearchFailure,
+    MismatchedN,
+    ZeroEdgeLength,
+)
+from .polyline import DiscreteCurve, ReducedCoords, from_reduced, to_reduced
 
-GAP_FLOOR = 1e-8
+# Armijo sufficient-decrease constant and the backtracking shrink factor.
+_ARMIJO_C1 = 1e-4
+_SHRINK = 0.5
 
 # Backtracking gives up after this many halvings.
 _MAX_HALVINGS = 60
@@ -37,17 +45,11 @@ class SolverOptions:
 
     grad_tol: float = 1e-9
     max_iters: int = 2000
-    ls_shrink: float = 0.5
-    ls_c1: float = 1e-4
     memory: int = 10
 
     def __post_init__(self):
         if not (self.grad_tol > 0 and self.max_iters > 0 and self.memory > 0):
             raise ValueError("grad_tol, max_iters and memory must be positive")
-        if not (0.0 < self.ls_shrink < 1.0):
-            raise ValueError(f"ls_shrink must be in (0,1), got {self.ls_shrink}")
-        if not (0.0 < self.ls_c1 < 1.0):
-            raise ValueError(f"ls_c1 must be in (0,1), got {self.ls_c1}")
 
 
 @dataclass(frozen=True)
@@ -57,21 +59,6 @@ class StepReport:
     f_initial: float
     f_final: float
     converged: bool
-
-
-def _feasible(z: np.ndarray, gap_floor: float) -> bool:
-    """Open-set membership of a reduced-coordinate vector."""
-    ell = z[2]
-    if not (ell > 0.0) or not np.all(np.isfinite(z)):
-        return False
-    theta = z[3:]
-    if theta.size > 1:
-        if np.min(1.0 + np.cos(np.diff(theta))) < CUSP_TOL:
-            return False
-    # gap = l * |sum of unit tangents|
-    sx = float(np.sum(np.cos(theta)))
-    sy = float(np.sum(np.sin(theta)))
-    return ell * np.hypot(sx, sy) > gap_floor
 
 
 def _two_loop(grad, s_list, y_list, rho_list):
@@ -95,7 +82,6 @@ def minimize_step(
     prev: DiscreteCurve,
     params: EnergyParams,
     opts: SolverOptions | None = None,
-    gap_floor: float = GAP_FLOOR,
 ) -> tuple[DiscreteCurve, StepReport]:
     """Minimize F(., prev) warm-started at prev; returns (curve, report).
 
@@ -103,14 +89,11 @@ def minimize_step(
     satisfies F(next, prev) <= F(prev, prev) = E(prev). With ``converged``
     set, the analytic gradient inf-norm is below ``opts.grad_tol``; hitting
     ``max_iters`` (or the floating-point resolution of F) returns the partial
-    minimizer with converged=False instead of raising.
+    minimizer with converged=False instead of raising. A prev outside the
+    open set raises from the first objective evaluation.
     """
     if opts is None:
         opts = SolverOptions()
-    if prev.gap <= gap_floor:
-        raise DegenerateGap(
-            f"previous curve gap {prev.gap:.3e} is at or below the floor"
-        )
     frame = PrevFrame(prev)
     n = prev.n
 
@@ -152,29 +135,18 @@ def minimize_step(
             gd = -float(g @ g)
             s_list, y_list, rho_list = [], [], []
 
-        accepted = False
-        for attempt in range(2):
-            alpha = 1.0 if s_list else min(1.0, 1.0 / float(np.linalg.norm(g)))
-            for _h in range(_MAX_HALVINGS + 1):
-                w_trial = w + alpha * d
-                if _feasible(scale * w_trial, gap_floor):
-                    try:
-                        f_trial, g_trial = evaluate(w_trial)
-                    except (CuspAngle, DegenerateGap):
-                        pass  # borderline of the open set; shrink
-                    else:
-                        if f_trial <= f + opts.ls_c1 * alpha * gd:
-                            accepted = True
-                            break
-                alpha *= opts.ls_shrink
-            if accepted or attempt == 1:
-                break
-            # Retry once along steepest descent with fresh memory.
-            d = -g
-            gd = -float(g @ g)
-            s_list, y_list, rho_list = [], [], []
-
-        if not accepted:
+        alpha = 1.0 if s_list else min(1.0, 1.0 / float(np.linalg.norm(g)))
+        for _ in range(_MAX_HALVINGS + 1):
+            w_trial = w + alpha * d
+            try:
+                f_trial, g_trial = evaluate(w_trial)
+            except (CuspAngle, DegenerateGap, ZeroEdgeLength):
+                pass  # left the open set; shrink
+            else:
+                if f_trial <= f + _ARMIJO_C1 * alpha * gd:
+                    break
+            alpha *= _SHRINK
+        else:  # no trial accepted
             if grad_z_inf > _STALL_GRAD_FACTOR * (1.0 + abs(f)):
                 raise LineSearchFailure(
                     f"no descent within {_MAX_HALVINGS} halvings at "

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from curveflow import (
+    CuspAngle,
     DegenerateGap,
     EnergyParams,
     MismatchedN,
     ReducedCoords,
+    ZeroEdgeLength,
     dissipation,
     energy,
     from_reduced,
@@ -15,6 +17,8 @@ from curveflow import (
     validate,
 )
 
+from curveflow.energy import PrevFrame, _objective_raw
+from curveflow.polyline import GAP_FLOOR
 from oracles import central_difference, random_open_curve
 
 PARAMS = EnergyParams(epsilon=0.1, tau=0.1)
@@ -68,7 +72,7 @@ def test_energy_rigid_motion_invariance():
         c = from_reduced(ReducedCoords(base, edge_len, headings))
         ang = float(rng.uniform(0, 2 * np.pi))
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-        moved = validate(c.points @ rot.T + rng.uniform(-3, 3, 2), tol=1e-9)
+        moved = validate(c.points @ rot.T + rng.uniform(-3, 3, 2))
         assert energy(moved, PARAMS).total == pytest.approx(
             energy(c, PARAMS).total, abs=1e-10
         )
@@ -101,6 +105,23 @@ def test_energy_degenerate_gap():
     c = DiscreteCurve(points=np.asarray(pts, float), edge_len=1.0)
     with pytest.raises(DegenerateGap):
         energy(c, PARAMS)
+
+
+def test_objective_rejects_points_outside_the_open_set():
+    two = PrevFrame(validate([(0, 0), (1, 0)]))
+    for ell in (0.0, -1.0):
+        with pytest.raises(ZeroEdgeLength):
+            _objective_raw(np.array([0.0, 0.0, ell, 0.3]), two, PARAMS, True)
+    # N = 2: the gap equals l
+    for ell in (0.5 * GAP_FLOOR, GAP_FLOOR):
+        with pytest.raises(DegenerateGap):
+            _objective_raw(np.array([0.0, 0.0, ell, 0.3]), two, PARAMS, True)
+    f, _ = _objective_raw(np.array([0.0, 0.0, 2 * GAP_FLOOR, 0.3]), two, PARAMS, False)
+    assert np.isfinite(f)
+    # anti-parallel third edge; the gap stays l
+    four = PrevFrame(validate([(0, 0), (1, 0), (2, 0), (3, 0)]))
+    with pytest.raises(CuspAngle):
+        _objective_raw(np.array([0.0, 0.0, 1.0, 0.0, 0.0, np.pi]), four, PARAMS, True)
 
 
 def test_dissipation_identity_is_zero():
@@ -158,8 +179,8 @@ def test_dissipation_rigid_motion_invariance():
         ang = float(rng.uniform(0, 2 * np.pi))
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         shift = rng.uniform(-2, 2, 2)
-        ca2 = validate(ca.points @ rot.T + shift, tol=1e-9)
-        cb2 = validate(cb.points @ rot.T + shift, tol=1e-9)
+        ca2 = validate(ca.points @ rot.T + shift)
+        cb2 = validate(cb.points @ rot.T + shift)
         assert dissipation(ca2, cb2) == pytest.approx(dissipation(ca, cb), abs=1e-10)
 
 

@@ -35,8 +35,10 @@ def segment_traj():
 
 
 def test_config_requires_termination_rule():
+    with pytest.raises(TypeError):
+        FlowConfig(params=EnergyParams(epsilon=0.1, tau=0.1), stop_tol=1e-6)
     with pytest.raises(ValueError):
-        FlowConfig(params=EnergyParams(epsilon=0.1, tau=0.1))
+        FlowConfig(params=EnergyParams(epsilon=0.1, tau=0.1), n_steps=0)
 
 
 def test_stationary_initial_terminates_immediately():

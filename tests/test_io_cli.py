@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+import curveflow.cli
 from curveflow import (
     BadParameters,
+    CuspAngle,
     EnergyParams,
     FlowConfig,
     PRESETS,
@@ -262,14 +264,36 @@ def test_cli_run_sinus_svg_layout(tmp_path):
     assert np.max(np.abs(rel[:, 0] * u[1] - rel[:, 1] * u[0])) < 0.01
 
 
-def test_cli_parallel_two_scenarios(tmp_path):
+def test_cli_two_scenarios(tmp_path):
     code = main([
         "run", "--scenario", "segment", "--scenario", "sinus",
-        "--steps", "3", "--out", str(tmp_path), "--parallel",
+        "--steps", "3", "--out", str(tmp_path),
     ])
     assert code == 0
     assert (tmp_path / "segment.jsonl").exists()
     assert (tmp_path / "sinus.jsonl").exists()
+
+
+def test_cli_flow_error_exits_two(tmp_path, monkeypatch, capsys):
+    def cusp(*args, **kwargs):
+        raise CuspAngle("anti-parallel edges")
+
+    monkeypatch.setattr(curveflow.cli, "run_flow", cusp)
+    code = main(["run", "--scenario", "segment", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "anti-parallel edges" in err
+    assert "usage" not in err.lower()
+
+
+def test_cli_file_scenario_needs_step_cap(tmp_path):
+    src = tmp_path / "in.txt"
+    np.savetxt(src, np.column_stack([np.linspace(0, 3, 50), np.zeros(50)]))
+    code = main([
+        "run", "--scenario", "file", "--in", str(src), "--stop-tol", "1e-6",
+        "--out", str(tmp_path),
+    ])
+    assert code == 1
 
 
 def test_cli_check_passes():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import curveflow.minimize
 from curveflow import (
+    CuspAngle,
     EnergyParams,
     ReducedCoords,
     SolverOptions,
@@ -82,6 +84,47 @@ def test_determinism():
     assert ra == rb
 
 
+def test_step_commutes_with_reversal_and_rigid_motions():
+    rng = np.random.default_rng(35)
+    params = EnergyParams(epsilon=0.05, tau=0.1)
+    compared = 0
+    for _ in range(10):
+        base, edge_len, headings = random_open_curve(rng, 12)
+        prev = from_reduced(ReducedCoords(base, edge_len, headings))
+        ang = float(rng.uniform(0, 2 * np.pi))
+        rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+        shift = rng.uniform(-3, 3, 2)
+        nxt, rep = minimize_step(prev, params)
+        cases = [
+            (prev.points[::-1], lambda pts: pts[::-1]),
+            (prev.points @ rot.T + shift, lambda pts: (pts - shift) @ rot),
+        ]
+        for moved, undo in cases:
+            other, rep_other = minimize_step(validate(moved), params)
+            if rep.converged and rep_other.converged:
+                assert np.max(np.abs(undo(other.points) - nxt.points)) < 1e-8
+                compared += 1
+    assert compared > 0
+
+
+def test_rejected_trial_is_shrunk(monkeypatch):
+    real = curveflow.minimize._objective_raw
+    calls = []
+
+    def cusp_on_first_trial(*args):
+        calls.append(args)
+        if len(calls) == 2:  # call 1 evaluates prev, call 2 is the first trial
+            raise CuspAngle("injected")
+        return real(*args)
+
+    monkeypatch.setattr(curveflow.minimize, "_objective_raw", cusp_on_first_trial)
+    seg = straight_segment(2.0, 21)
+    nxt, rep = minimize_step(seg, EnergyParams(epsilon=0.01, tau=0.05))
+    assert len(calls) > 2
+    assert rep.f_final <= rep.f_initial
+    assert nxt.total_length < seg.total_length
+
+
 def test_max_iters_returns_partial_result():
     seg = straight_segment(2.0, 31)
     params = EnergyParams(epsilon=0.01, tau=0.05)
@@ -100,6 +143,6 @@ def test_cone_condition():
 
 def test_solver_options_validation():
     with pytest.raises(ValueError):
-        SolverOptions(ls_shrink=1.5)
+        SolverOptions(memory=0)
     with pytest.raises(ValueError):
         SolverOptions(grad_tol=-1.0)

@@ -128,7 +128,7 @@ def test_curvature_circle_convergence():
 
 def test_curvature_cusp_raises():
     with pytest.raises(CuspAngle):
-        discrete_curvature(validate([(0, 0), (1, 0), (0.0, 1e-13)], tol=1.0))
+        discrete_curvature(validate([(0, 0), (1, 0), (0.0, 1e-13)]))
 
 
 def test_curvature_rigid_motion_invariance():
@@ -139,7 +139,7 @@ def test_curvature_rigid_motion_invariance():
         ang = float(rng.uniform(0, 2 * np.pi))
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         shift = rng.uniform(-5, 5, 2)
-        moved = validate(c.points @ rot.T + shift, tol=1e-9)
+        moved = validate(c.points @ rot.T + shift)
         assert np.max(np.abs(discrete_curvature(moved) - discrete_curvature(c))) < 1e-10
         # reflection flips the sign
         refl = validate(c.points * np.array([1.0, -1.0]))
