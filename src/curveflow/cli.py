@@ -7,7 +7,7 @@ Subcommands::
     resample  resample a polyline file onto N equal-edge points
 
 Exit codes: 0 success, 1 usage or input error, 2 error or bound violation
-while the flow runs.
+while the flow runs or writes its outputs.
 """
 
 import argparse
@@ -19,12 +19,12 @@ import numpy as np
 
 from .diagnostics import fd_gradient_check, full_residual_report, self_intersections
 from .energy import EnergyParams, dissipation, energy, objective
-from .errors import BadParameters, BoundViolation, CurveFlowError
+from .errors import BoundViolation, CurveFlowError
 from .flow import FlowConfig, run_flow
 from .io import render_svg, write_phase_svgs, write_trajectory
 from .minimize import SolverOptions, minimize_step
 from .polyline import from_reduced, resample_equal_arclength, to_reduced, validate
-from .scenarios import PRESETS, Scenario, make_scenario
+from .scenarios import PRESETS, Preset, Scenario, make_scenario
 
 
 class UsageError(Exception):
@@ -38,21 +38,6 @@ class FlowFailure(CurveFlowError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _read_config(path: str) -> dict:
-    """key=value lines; '#' starts a comment."""
-    values = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}: bad config line {raw.rstrip()!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip().strip('"')
-    return values
 
 
 def build_parser() -> _Parser:
@@ -71,18 +56,19 @@ def build_parser() -> _Parser:
     run_p.add_argument("--steps", type=int, default=None, help="step cap")
     run_p.add_argument("--stop-tol", type=float, default=None,
                        help="terminate when max vertex speed drops below this")
-    run_p.add_argument("--out", default=None, help="output directory (default .)")
-    run_p.add_argument("--format", default=None, choices=["jsonl", "csv"],
-                       help="trajectory format (default jsonl)")
+    run_p.add_argument("--out", default=".",
+                       help="output directory (default %(default)s)")
+    run_p.add_argument("--format", default="jsonl", choices=["jsonl", "csv"],
+                       help="trajectory format (default %(default)s)")
     run_p.add_argument("--svg", action="store_true", help="render the flow")
-    run_p.add_argument("--svg-stride", type=int, default=None)
-    run_p.add_argument("--snapshot-every", type=int, default=None)
+    run_p.add_argument("--svg-stride", type=int, default=None,
+                       help="draw every k-th snapshot (default: about 24 drawn)")
+    run_p.add_argument("--snapshot-every", type=int, default=1,
+                       help="record the curve every k steps (default %(default)s)")
     run_p.add_argument("--diagnostics", action="store_true",
                        help="write per-step residual norms")
-    run_p.add_argument("--grad-tol", type=float, default=None,
-                       help="inner solver stationarity tolerance (default 1e-8)")
-    run_p.add_argument("--config", default=None,
-                       help="key=value file; explicit flags override it")
+    run_p.add_argument("--grad-tol", type=float, default=1e-8,
+                       help="inner solver stationarity tolerance (default %(default)g)")
 
     sub.add_parser("check", help="run the built-in invariant self-test")
 
@@ -93,28 +79,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(args, config):
-    mapping = {
-        "scenario": ("scenario", lambda v: [v]),
-        "n": ("n", int),
-        "eps": ("eps", float),
-        "tau": ("tau", float),
-        "steps": ("steps", int),
-        "stop_tol": ("stop_tol", float),
-        "out": ("out", str),
-        "format": ("format", str),
-        "svg": ("svg", lambda v: v.lower() in ("1", "true", "yes")),
-        "diagnostics": ("diagnostics", lambda v: v.lower() in ("1", "true", "yes")),
-        "grad_tol": ("grad_tol", float),
-        "in": ("infile", str),
-        "snapshot_every": ("snapshot_every", int),
-    }
-    for key, val in config.items():
-        if key not in mapping:
-            raise UsageError(f"unknown config key {key!r}")
-        attr, conv = mapping[key]
-        if getattr(args, attr) in (None, False):  # explicit flags win
-            setattr(args, attr, conv(val))
+def _given(value, default):
+    return default if value is None else value
 
 
 def _run_one(name: str, args) -> None:
@@ -123,75 +89,66 @@ def _run_one(name: str, args) -> None:
             raise UsageError("--scenario file needs --in FILE")
         if args.steps is None:
             raise UsageError("--scenario file needs --steps")
-        n = args.n if args.n is not None else 120
-        scenario = Scenario(kind="file", n=n, path=args.infile)
-        eps = args.eps if args.eps is not None else 0.01
-        tau = args.tau if args.tau is not None else 0.05
-        stop_tol = args.stop_tol
-        max_steps = args.steps
+        preset = Preset(Scenario(kind="file", n=120, path=args.infile),
+                        EnergyParams(epsilon=0.01, tau=0.05),
+                        stop_tol=None, max_steps=None)
     else:
         preset = PRESETS[name]
-        scenario = preset.scenario
-        if args.n is not None:
-            scenario = dataclasses.replace(scenario, n=args.n)
-        eps = args.eps if args.eps is not None else preset.params.epsilon
-        tau = args.tau if args.tau is not None else preset.params.tau
-        stop_tol = args.stop_tol if args.stop_tol is not None else preset.stop_tol
-        max_steps = args.steps if args.steps is not None else preset.max_steps
-    out_dir = args.out if args.out is not None else "."
-    fmt = args.format if args.format is not None else "jsonl"
-    grad_tol = args.grad_tol if args.grad_tol is not None else 1e-8
-    snapshot_every = args.snapshot_every if args.snapshot_every else 1
-
-    params = EnergyParams(epsilon=eps, tau=tau)
+    scenario = dataclasses.replace(preset.scenario, n=_given(args.n, preset.scenario.n))
+    params = EnergyParams(epsilon=_given(args.eps, preset.params.epsilon),
+                          tau=_given(args.tau, preset.params.tau))
     cfg = FlowConfig(
         params=params,
-        n_steps=max_steps,
-        stop_tol=stop_tol,
-        solver=SolverOptions(grad_tol=grad_tol),
-        snapshot_every=snapshot_every,
+        n_steps=_given(args.steps, preset.max_steps),
+        stop_tol=_given(args.stop_tol, preset.stop_tol),
+        solver=SolverOptions(grad_tol=args.grad_tol),
+        snapshot_every=args.snapshot_every,
     )
+    if args.svg_stride is not None and args.svg_stride < 1:
+        raise UsageError("--svg-stride must be >= 1")
     initial = make_scenario(scenario)
+
+    # Errors above are input errors (exit 1); a ValueError from here on is
+    # raised by the flow or while writing its outputs (exit 2).
     try:
         traj = run_flow(initial, cfg)
+        os.makedirs(args.out, exist_ok=True)
+        traj_path = os.path.join(args.out, f"{name}.{args.format}")
+        write_trajectory(traj, traj_path, fmt=args.format)
+        outputs = [traj_path]
+        if args.svg:
+            stride = args.svg_stride
+            if stride is None:
+                stride = max(1, len(traj.snapshots) // 24)
+            svg_path = os.path.join(args.out, f"{name}.svg")
+            render_svg(traj, svg_path, stride=stride)
+            outputs.append(svg_path)
+            if scenario.kind == "asym_gamma":
+                outputs.extend(write_phase_svgs(traj, args.out, name, stride=stride))
+        if args.diagnostics:
+            diag_path = os.path.join(args.out, f"{name}.diagnostics.csv")
+            with open(diag_path, "w") as fh:
+                fh.write("snapshot_step,interior_L2,interior_max,coupling_L2,"
+                         "boundary_start,boundary_end,kappa_start,kappa_end\n")
+                for k in range(len(traj.snapshots) - 1):
+                    rep = full_residual_report(traj, k, params)
+                    fh.write(
+                        f"{traj.snapshot_steps[k]},{rep.interior_L2:.9e},"
+                        f"{rep.interior_max:.9e},{rep.coupling_L2:.9e},"
+                        f"{np.linalg.norm(rep.boundary_start):.9e},"
+                        f"{np.linalg.norm(rep.boundary_end):.9e},"
+                        f"{rep.kappa_boundary[0]:.9e},{rep.kappa_boundary[1]:.9e}\n"
+                    )
+            outputs.append(diag_path)
+
+        final = traj.final
+        print(
+            f"[{name}] steps={traj.n_steps} E0={traj.energies[0]:.6f} "
+            f"E={traj.energies[-1]:.6f} length={final.total_length:.6f} "
+            f"gap={final.gap:.6f} crossings={self_intersections(final)}"
+        )
     except ValueError as exc:  # e.g. CuspAngle: not a usage error
         raise FlowFailure(f"{type(exc).__name__}: {exc}") from exc
-
-    os.makedirs(out_dir, exist_ok=True)
-    traj_path = os.path.join(out_dir, f"{name}.{fmt}")
-    write_trajectory(traj, traj_path, fmt=fmt)
-    outputs = [traj_path]
-    if args.svg:
-        stride = args.svg_stride
-        if stride is None:
-            stride = max(1, len(traj.snapshots) // 24)
-        svg_path = os.path.join(out_dir, f"{name}.svg")
-        render_svg(traj, svg_path, stride=stride)
-        outputs.append(svg_path)
-        if scenario.kind == "asym_gamma":
-            outputs.extend(write_phase_svgs(traj, out_dir, name, stride=stride))
-    if args.diagnostics:
-        diag_path = os.path.join(out_dir, f"{name}.diagnostics.csv")
-        with open(diag_path, "w") as fh:
-            fh.write("snapshot_step,interior_L2,interior_max,coupling_L2,"
-                     "boundary_start,boundary_end,kappa_start,kappa_end\n")
-            for k in range(len(traj.snapshots) - 1):
-                rep = full_residual_report(traj, k, params)
-                fh.write(
-                    f"{traj.snapshot_steps[k]},{rep.interior_L2:.9e},"
-                    f"{rep.interior_max:.9e},{rep.coupling_L2:.9e},"
-                    f"{np.linalg.norm(rep.boundary_start):.9e},"
-                    f"{np.linalg.norm(rep.boundary_end):.9e},"
-                    f"{rep.kappa_boundary[0]:.9e},{rep.kappa_boundary[1]:.9e}\n"
-                )
-        outputs.append(diag_path)
-
-    final = traj.final
-    print(
-        f"[{name}] steps={traj.n_steps} E0={traj.energies[0]:.6f} "
-        f"E={traj.energies[-1]:.6f} length={final.total_length:.6f} "
-        f"gap={final.gap:.6f} crossings={self_intersections(final)}"
-    )
     for p in outputs:
         print(f"[{name}] wrote {p}")
 
@@ -293,13 +250,11 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError("missing subcommand (run, check, resample)")
         if args.command == "run":
-            if args.config:
-                _apply_config(args, _read_config(args.config))
             return cmd_run(args)
         if args.command == "check":
             return cmd_check(args)
         return cmd_resample(args)
-    except (UsageError, BadParameters, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1

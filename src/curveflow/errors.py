@@ -14,7 +14,7 @@ class UnequalEdges(CurveFlowError, ValueError):
 
 
 class DegenerateGap(CurveFlowError, ValueError):
-    """Curve endpoints coincide; the endpoint potential is undefined."""
+    """Curve endpoints are at most GAP_FLOOR apart; the flow admits no such curve."""
 
 
 class ZeroEdgeLength(CurveFlowError, ValueError):

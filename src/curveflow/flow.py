@@ -175,7 +175,7 @@ def coupling_residual(traj: Trajectory, n: int) -> CouplingResidual:
     )
 
 
-def _check_bounds(step, e_prev, breakdown, next_curve, e0, diss_sum, gap_floor):
+def _check_bounds(step, e_prev, breakdown, next_curve, e0, diss_sum):
     e_next = breakdown.total
     details = {
         "E_prev": e_prev,
@@ -187,7 +187,7 @@ def _check_bounds(step, e_prev, breakdown, next_curve, e0, diss_sum, gap_floor):
     }
     if e_next > e_prev + ENERGY_SLACK * (1.0 + abs(e0)):
         raise BoundViolation("energy increased", step, details)
-    if next_curve.gap < gap_floor:
+    if next_curve.gap < GAP_FLOOR:
         raise BoundViolation("endpoint gap below floor", step, details)
     if next_curve.total_length > 2.0 * (e0 + 1.0):
         raise BoundViolation("length bound exceeded", step, details)
@@ -224,7 +224,7 @@ def run_flow(initial: DiscreteCurve, cfg: FlowConfig) -> Trajectory:
                 step,
                 {"E_prev": e_prev, "E_next": e_next},
             )
-        _check_bounds(step, e_prev, breakdown, cur, e0, diss_sum, GAP_FLOOR)
+        _check_bounds(step, e_prev, breakdown, cur, e0, diss_sum)
 
         traj.energies.append(e_next)
         traj.lengths.append(cur.total_length)

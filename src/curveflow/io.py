@@ -13,6 +13,9 @@ import numpy as np
 from .flow import Trajectory
 from .polyline import DiscreteCurve
 
+# Width of a rendered SVG in user units; the height follows the aspect ratio.
+SVG_WIDTH = 600.0
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -93,8 +96,7 @@ def _stroke_color(k: int, count: int) -> str:
     return f"#{round(r * 255):02x}{round(g * 255):02x}{round(b * 255):02x}"
 
 
-def render_svg(traj: Trajectory, path: str, stride: int = 1,
-               width: float = 600.0) -> None:
+def render_svg(traj: Trajectory, path: str, stride: int = 1) -> None:
     """Render every ``stride``-th snapshot as an SVG polyline.
 
     Stroke colors run from violet to red with snapshot order; the viewBox is
@@ -118,7 +120,7 @@ def render_svg(traj: Trajectory, path: str, stride: int = 1,
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width:.6g}" height="{width * h / w:.6g}" '
+        f'width="{SVG_WIDTH:.6g}" height="{SVG_WIDTH * h / w:.6g}" '
         f'viewBox="{x0:.9g} {-(y0 + h):.9g} {w:.9g} {h:.9g}">',
     ]
     for k, curve in enumerate(drawn):

@@ -32,6 +32,9 @@ CUSP_TOL = 1e-12
 # Smallest admissible endpoint gap; the log barrier keeps the flow above it.
 GAP_FLOOR = 1e-8
 
+# Cap on the chord-equalization passes of resample_equal_arclength.
+RESAMPLE_PASSES = 10_000
+
 
 def rot90(v):
     """Counterclockwise rotation by pi/2: (x, y) -> (-y, x). Works on (..., 2)."""
@@ -97,9 +100,9 @@ class DiscreteCurve:
     def edges(self) -> np.ndarray:
         return np.diff(self.points, axis=0)
 
-    def is_admissible(self, gap_floor: float = 0.0) -> bool:
-        """True when the endpoints are strictly further apart than gap_floor."""
-        return self.gap > gap_floor
+    def is_admissible(self) -> bool:
+        """True when the endpoints are strictly further apart than GAP_FLOOR."""
+        return self.gap > GAP_FLOOR
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,8 @@ def validate(points) -> DiscreteCurve:
 
     The common edge length is the mean edge length, which every edge must
     match as DiscreteCurve requires. Raises TooFewPoints, ZeroEdgeLength,
-    UnequalEdges, or DegenerateGap (coincident endpoints are not admissible).
+    UnequalEdges, or DegenerateGap (endpoints at most GAP_FLOOR apart are not
+    admissible).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -166,8 +170,11 @@ def validate(points) -> DiscreteCurve:
     mean = float(np.mean(lens))
     if mean <= 0.0:
         raise ZeroEdgeLength("all edges have zero length")
-    if float(np.linalg.norm(pts[-1] - pts[0])) == 0.0:
-        raise DegenerateGap("endpoints coincide")
+    gap = float(np.linalg.norm(pts[-1] - pts[0]))
+    if gap <= GAP_FLOOR:
+        raise DegenerateGap(
+            f"endpoint gap {gap:.3e} is at or below the floor {GAP_FLOOR:g}"
+        )
     return DiscreteCurve(points=pts, edge_len=mean)
 
 
@@ -270,8 +277,7 @@ def _spread(lens: np.ndarray) -> float:
     return float((lens.max() - lens.min()) / mean)
 
 
-def resample_equal_arclength(points, n: int,
-                             max_passes: int = 10_000) -> DiscreteCurve:
+def resample_equal_arclength(points, n: int) -> DiscreteCurve:
     """Resample an arbitrary polyline onto N points with equal chord lengths.
 
     Points are placed on the input polyline, first and last coinciding with
@@ -280,7 +286,8 @@ def resample_equal_arclength(points, n: int,
     placement is then corrected by a fixed-point pass (re-spacing the sample
     parameters equally in the cumulative-chord coordinate) until the relative
     edge spread drops below 1e-10. Smooth dense inputs converge in a handful
-    of passes; sharp corners take tens.
+    of passes; sharp corners take tens. Raises UnequalEdges after
+    RESAMPLE_PASSES passes.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -295,7 +302,7 @@ def resample_equal_arclength(points, n: int,
         return validate(np.array([pts[0], pts[-1]]))
 
     s = np.linspace(0.0, total, n)
-    for _ in range(max_passes):
+    for _ in range(RESAMPLE_PASSES):
         out = np.column_stack(
             [np.interp(s, cum, pts[:, 0]), np.interp(s, cum, pts[:, 1])]
         )

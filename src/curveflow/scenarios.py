@@ -131,8 +131,8 @@ def make_scenario(sc: Scenario) -> DiscreteCurve:
 class Preset:
     scenario: Scenario
     params: EnergyParams
-    stop_tol: float
-    max_steps: int
+    stop_tol: float | None
+    max_steps: int | None
 
 
 PRESETS: dict[str, Preset] = {

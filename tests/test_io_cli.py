@@ -1,6 +1,8 @@
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,16 +195,12 @@ def test_cli_resample(tmp_path):
     assert (lens.max() - lens.min()) / lens.mean() < 1e-9
 
 
-def test_cli_config_file_and_override(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(
-        "scenario = segment\nn = 15\nsteps = 10\nformat = csv\n"
-        "snapshot_every = 5\nout = {}\n".format(tmp_path)
-    )
-    code = main(["run", "--config", str(cfgfile), "--steps", "5"])
+def test_cli_format_and_snapshot_every(tmp_path):
+    code = main([
+        "run", "--scenario", "segment", "--n", "15", "--format", "csv",
+        "--snapshot-every", "5", "--steps", "5", "--out", str(tmp_path),
+    ])
     assert code == 0
-    # CLI --steps overrides the config's 10; format/snapshot_every come from
-    # the config
     scalars = (tmp_path / "segment.csv.scalars.csv").read_text().strip()
     steps = [int(line.split(",")[0]) for line in scalars.split("\n")[1:]]
     assert steps == [0, 5]
@@ -284,6 +282,59 @@ def test_cli_flow_error_exits_two(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "anti-parallel edges" in err
     assert "usage" not in err.lower()
+
+
+def test_cli_post_flow_error_exits_two(tmp_path, monkeypatch, capsys):
+    def cusp(*args, **kwargs):
+        raise CuspAngle("anti-parallel edges")
+
+    monkeypatch.setattr(curveflow.cli, "full_residual_report", cusp)
+    code = main([
+        "run", "--scenario", "segment", "--n", "21", "--steps", "3",
+        "--out", str(tmp_path), "--diagnostics",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "anti-parallel edges" in err
+    assert "usage" not in err.lower()
+
+
+@pytest.mark.parametrize("flag", ["--svg-stride", "--snapshot-every"])
+def test_cli_bad_output_flag_exits_one_before_the_flow(tmp_path, monkeypatch, flag):
+    def never(*args, **kwargs):
+        raise AssertionError("the flow must not start")
+
+    monkeypatch.setattr(curveflow.cli, "run_flow", never)
+    out = tmp_path / "out"
+    code = main([
+        "run", "--scenario", "segment", "--steps", "3", "--out", str(out),
+        "--svg", flag, "0",
+    ])
+    assert code == 1
+    assert not out.exists()
+
+
+def test_cli_file_with_degenerate_gap_exits_one(tmp_path):
+    src = tmp_path / "in.txt"
+    np.savetxt(src, [(0, 0), (1, 0), (1, 1), (0, 1), (0, 1e-9)])
+    out = tmp_path / "out"
+    code = main([
+        "run", "--scenario", "file", "--in", str(src), "--n", "21",
+        "--steps", "3", "--out", str(out),
+    ])
+    assert code == 1
+    assert not out.exists()
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines() if line.startswith("curveflow ")]
+    assert len(commands) >= 6
+    parser = curveflow.cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_cli_file_scenario_needs_step_cap(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from curveflow import (
     CuspAngle,
     DegenerateGap,
+    DiscreteCurve,
     ReducedCoords,
     TooFewPoints,
     UnequalEdges,
@@ -33,6 +34,16 @@ def test_validate_rejects_unequal_edges():
 def test_validate_rejects_coincident_endpoints():
     with pytest.raises(DegenerateGap):
         validate([(0, 0), (1, 0), (0, 0)])
+
+
+def test_validate_rejects_gap_at_floor():
+    # equal edges, endpoints 1e-9 apart: inside the floor, but not coincident
+    pts = [(0.0, 0.0), (0.5e-9, 1.0), (1e-9, 0.0)]
+    with pytest.raises(DegenerateGap):
+        validate(pts)
+    edge_len = float(np.hypot(0.5e-9, 1.0))
+    assert not DiscreteCurve(points=pts, edge_len=edge_len).is_admissible()
+    assert validate([(0.0, 0.0), (0.5e-7, 1.0), (1e-7, 0.0)]).is_admissible()
 
 
 def test_validate_rejects_single_point():
@@ -128,7 +139,7 @@ def test_curvature_circle_convergence():
 
 def test_curvature_cusp_raises():
     with pytest.raises(CuspAngle):
-        discrete_curvature(validate([(0, 0), (1, 0), (0.0, 1e-13)]))
+        discrete_curvature(validate([(0, 0), (1, 0), (2, 0), (1, 1e-13)]))
 
 
 def test_curvature_rigid_motion_invariance():
