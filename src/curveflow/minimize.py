@@ -3,12 +3,13 @@
 The equal-edge constraint is eliminated by the (base, l, headings) chart, so
 the step is an unconstrained smooth minimization on an open set: l > 0, the
 endpoint gap above a small floor (the log barrier keeps the region open), and
-no anti-parallel edge pairs. A limited-memory BFGS iteration with Armijo
-backtracking is used; the objective rejects steps that leave the open set by
-raising, and the line search halves such a step like any other failed trial.
+no anti-parallel edge pairs. An L-BFGS iteration with Armijo backtracking is
+used; the objective rejects steps that leave the open set by raising, and the
+line search halves such a step like any other failed trial.
 Everything is deterministic: identical inputs produce bit-identical outputs.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,18 +39,20 @@ _STALL_GRAD_FACTOR = 1e-3
 # Inner iterations without strict objective decrease before declaring a stall.
 _STALL_WINDOW = 30
 
+# L-BFGS history length (curvature pairs kept) and iteration cap per step.
+_MEMORY = 10
+_MAX_ITERS = 2000
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tuning knobs of the inner quasi-Newton solver."""
+    """Stationarity tolerance of the inner quasi-Newton solver."""
 
     grad_tol: float = 1e-9
-    max_iters: int = 2000
-    memory: int = 10
 
     def __post_init__(self):
-        if not (self.grad_tol > 0 and self.max_iters > 0 and self.memory > 0):
-            raise ValueError("grad_tol, max_iters and memory must be positive")
+        if not self.grad_tol > 0:
+            raise ValueError("grad_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -61,18 +64,19 @@ class StepReport:
     converged: bool
 
 
-def _two_loop(grad, s_list, y_list, rho_list):
-    """Standard L-BFGS two-loop recursion; returns the descent direction."""
+def _two_loop(grad, history):
+    """Standard L-BFGS two-loop recursion over (s, y, rho) pairs, oldest
+    first; returns the descent direction."""
     q = grad.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(history):
         a = rho * float(s @ q)
         q -= a * y
         alphas.append(a)
-    if s_list:
-        y = y_list[-1]
-        q *= float(s_list[-1] @ y) / float(y @ y)
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+    if history:
+        s, y, _ = history[-1]
+        q *= float(s @ y) / float(y @ y)
+    for (s, y, rho), a in zip(history, reversed(alphas)):
         b = rho * float(y @ q)
         q += (a - b) * s
     return -q
@@ -88,9 +92,9 @@ def minimize_step(
     The accepted iterates decrease F monotonically, so the result always
     satisfies F(next, prev) <= F(prev, prev) = E(prev). With ``converged``
     set, the analytic gradient inf-norm is below ``opts.grad_tol``; hitting
-    ``max_iters`` (or the floating-point resolution of F) returns the partial
-    minimizer with converged=False instead of raising. A prev outside the
-    open set raises from the first objective evaluation.
+    the iteration cap, the stall window or the floating-point resolution of F
+    returns the partial minimizer with converged=False instead of raising. A
+    prev outside the open set raises from the first objective evaluation.
     """
     if opts is None:
         opts = SolverOptions()
@@ -111,31 +115,23 @@ def minimize_step(
     f, g = evaluate(w)
     f_initial = f
 
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
-    rho_list: list[float] = []
-
+    history = deque(maxlen=_MEMORY)  # (s, y, rho), oldest first
     iterations = 0
-    converged = False
-    f_best = f
     since_improvement = 0
 
-    for _ in range(opts.max_iters):
+    for _ in range(_MAX_ITERS):
         grad_z_inf = float(np.max(np.abs(g / scale)))
-        if grad_z_inf <= opts.grad_tol:
-            converged = True
-            break
-        if since_improvement > _STALL_WINDOW:
+        if grad_z_inf <= opts.grad_tol or since_improvement > _STALL_WINDOW:
             break
 
-        d = _two_loop(g, s_list, y_list, rho_list)
+        d = _two_loop(g, history)
         gd = float(g @ d)
         if not np.isfinite(gd) or gd >= 0.0:
             d = -g
             gd = -float(g @ g)
-            s_list, y_list, rho_list = [], [], []
+            history.clear()
 
-        alpha = 1.0 if s_list else min(1.0, 1.0 / float(np.linalg.norm(g)))
+        alpha = 1.0 if history else min(1.0, 1.0 / float(np.linalg.norm(g)))
         for _ in range(_MAX_HALVINGS + 1):
             w_trial = w + alpha * d
             try:
@@ -160,31 +156,20 @@ def minimize_step(
         y_vec = g_trial - g
         sy = float(s_vec @ y_vec)
         if sy > 1e-12 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-            s_list.append(s_vec)
-            y_list.append(y_vec)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > opts.memory:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            history.append((s_vec, y_vec, 1.0 / sy))
 
-        if f_trial < f_best:
-            f_best = f_trial
-            since_improvement = 0
-        else:
-            since_improvement += 1
+        # An accepted trial never raises f, so f is also the best value seen.
+        since_improvement = 0 if f_trial < f else since_improvement + 1
         w, f, g = w_trial, f_trial, g_trial
         iterations += 1
 
     final_grad = float(np.max(np.abs(g / scale)))
-    if final_grad <= opts.grad_tol:
-        converged = True
     report = StepReport(
         iterations=iterations,
         final_grad_norm=final_grad,
         f_initial=f_initial,
         f_final=f,
-        converged=converged,
+        converged=final_grad <= opts.grad_tol,
     )
     next_curve = from_reduced(ReducedCoords.from_vector(scale * w))
     return next_curve, report

@@ -125,10 +125,11 @@ def test_rejected_trial_is_shrunk(monkeypatch):
     assert nxt.total_length < seg.total_length
 
 
-def test_max_iters_returns_partial_result():
+def test_max_iters_returns_partial_result(monkeypatch):
+    monkeypatch.setattr(curveflow.minimize, "_MAX_ITERS", 2)
     seg = straight_segment(2.0, 31)
     params = EnergyParams(epsilon=0.01, tau=0.05)
-    nxt, rep = minimize_step(seg, params, SolverOptions(max_iters=2))
+    nxt, rep = minimize_step(seg, params, SolverOptions(grad_tol=1e-9))
     assert not rep.converged
     assert rep.iterations <= 2
     assert rep.f_final <= rep.f_initial
@@ -143,6 +144,6 @@ def test_cone_condition():
 
 def test_solver_options_validation():
     with pytest.raises(ValueError):
-        SolverOptions(memory=0)
-    with pytest.raises(ValueError):
         SolverOptions(grad_tol=-1.0)
+    with pytest.raises(ValueError):
+        SolverOptions(grad_tol=0.0)
