@@ -17,7 +17,12 @@ import sys
 
 import numpy as np
 
-from .diagnostics import fd_gradient_check, full_residual_report, self_intersections
+from .diagnostics import (
+    RESIDUAL_MIN_POINTS,
+    fd_gradient_check,
+    full_residual_report,
+    self_intersections,
+)
 from .energy import EnergyParams, dissipation, energy, objective
 from .errors import BoundViolation, CurveFlowError
 from .flow import FlowConfig, run_flow
@@ -67,7 +72,7 @@ def build_parser() -> _Parser:
                        help="record the curve every k steps (default %(default)s)")
     run_p.add_argument("--diagnostics", action="store_true",
                        help="write per-step residual norms")
-    run_p.add_argument("--grad-tol", type=float, default=1e-8,
+    run_p.add_argument("--grad-tol", type=float, default=SolverOptions.grad_tol,
                        help="inner solver stationarity tolerance (default %(default)g)")
 
     sub.add_parser("check", help="run the built-in invariant self-test")
@@ -106,6 +111,8 @@ def _run_one(name: str, args) -> None:
     )
     if args.svg_stride is not None and args.svg_stride < 1:
         raise UsageError("--svg-stride must be >= 1")
+    if args.diagnostics and scenario.n < RESIDUAL_MIN_POINTS:
+        raise UsageError(f"--diagnostics needs --n >= {RESIDUAL_MIN_POINTS}")
     initial = make_scenario(scenario)
 
     # Errors above are input errors (exit 1); a ValueError from here on is
@@ -211,11 +218,7 @@ def cmd_check(args) -> int:
     e_id = energy(seg, EnergyParams(epsilon=0.01, tau=0.05)).total
     report("objective at prev equals E(prev)", abs(obj_id - e_id) < 1e-12 * (1 + abs(e_id)))
 
-    cfg = FlowConfig(
-        params=EnergyParams(epsilon=0.01, tau=0.05),
-        n_steps=40,
-        solver=SolverOptions(grad_tol=1e-8),
-    )
+    cfg = FlowConfig(params=EnergyParams(epsilon=0.01, tau=0.05), n_steps=40)
     traj = run_flow(seg, cfg)
     mono = all(
         traj.energies[k + 1] <= traj.energies[k] + 1e-10 * (1 + abs(traj.energies[0]))

@@ -24,6 +24,9 @@ from .errors import TooFewPoints
 from .flow import Trajectory, coupling_residual, velocity, vertex_tangents
 from .polyline import DiscreteCurve, ReducedCoords, discrete_curvature, rot90
 
+# The residual stencils reach two vertices in from each end.
+RESIDUAL_MIN_POINTS = 5
+
 
 @dataclass
 class ResidualReport:
@@ -73,8 +76,8 @@ def fd_gradient_check(rc: ReducedCoords, prev: DiscreteCurve,
 def _arrival_kappa_fields(traj: Trajectory, n: int):
     cur = traj.snapshots[n + 1]
     nv = cur.n
-    if nv < 5:
-        raise TooFewPoints("residual stencils need N >= 5")
+    if nv < RESIDUAL_MIN_POINTS:
+        raise TooFewPoints(f"residual stencils need N >= {RESIDUAL_MIN_POINTS}")
     h = 1.0 / (nv - 1)
     kap = discrete_curvature(cur)  # interior vertices 2..N-1
     return cur, nv, h, kap

@@ -40,7 +40,7 @@ _STALL_GRAD_FACTOR = 1e-3
 _STALL_WINDOW = 30
 
 # L-BFGS history length (curvature pairs kept) and iteration cap per step.
-_MEMORY = 10
+_MEMORY = 25
 _MAX_ITERS = 2000
 
 
@@ -48,7 +48,7 @@ _MAX_ITERS = 2000
 class SolverOptions:
     """Stationarity tolerance of the inner quasi-Newton solver."""
 
-    grad_tol: float = 1e-9
+    grad_tol: float = 1e-8
 
     def __post_init__(self):
         if not self.grad_tol > 0:

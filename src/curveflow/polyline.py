@@ -292,6 +292,8 @@ def resample_equal_arclength(points, n: int) -> DiscreteCurve:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must be (M, 2), got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     if n < 2:
         raise TooFewPoints("resampling needs N >= 2")
     cum = _polyline_cumlen(pts)

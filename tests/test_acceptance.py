@@ -29,10 +29,11 @@ from curveflow import (
 
 from oracles import random_open_curve, segment_flow_oracle
 
-# Solver settings for the long preset runs: stationarity at 1e-8 and a
-# longer quasi-Newton history (the bending term makes the inner problems
-# stiff). The acceptance thresholds below do not depend on either knob.
-RUN_OPTS = SolverOptions(grad_tol=1e-8)
+pytestmark = pytest.mark.slow
+
+# Solver settings for the long preset runs: the defaults, stationarity at
+# 1e-8. The acceptance thresholds below do not depend on it.
+RUN_OPTS = SolverOptions()
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:

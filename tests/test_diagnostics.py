@@ -81,7 +81,8 @@ def test_interior_residual_straight_flow(shrink_traj):
 
 def test_interior_residual_stationary_zero():
     seg = straight_segment(1.0, 15)
-    cfg = FlowConfig(params=EnergyParams(epsilon=0.01, tau=0.05), n_steps=1)
+    cfg = FlowConfig(params=EnergyParams(epsilon=0.01, tau=0.05), n_steps=1,
+                     solver=SolverOptions(grad_tol=1e-9))
     traj = run_flow(seg, cfg)
     rep = interior_residual(traj, 0, EnergyParams(0.01, 0.05))
     assert rep.interior_max < 1e-10
@@ -89,7 +90,8 @@ def test_interior_residual_stationary_zero():
 
 def test_boundary_residual_stationary_unit_segment():
     seg = straight_segment(1.0, 15)
-    cfg = FlowConfig(params=EnergyParams(epsilon=0.01, tau=0.05), n_steps=1)
+    cfg = FlowConfig(params=EnergyParams(epsilon=0.01, tau=0.05), n_steps=1,
+                     solver=SolverOptions(grad_tol=1e-9))
     traj = run_flow(seg, cfg)
     rep = boundary_residual(traj, 0, EnergyParams(0.01, 0.05))
     assert np.linalg.norm(rep.boundary_start) < 1e-7
@@ -105,7 +107,8 @@ def test_boundary_residual_first_shrink_step(shrink_traj):
 
 def test_residuals_require_five_points():
     seg = straight_segment(1.0, 4)
-    cfg = FlowConfig(params=EnergyParams(epsilon=0.01, tau=0.05), n_steps=1)
+    cfg = FlowConfig(params=EnergyParams(epsilon=0.01, tau=0.05), n_steps=1,
+                     solver=SolverOptions(grad_tol=1e-9))
     traj = run_flow(seg, cfg)
     with pytest.raises(TooFewPoints):
         interior_residual(traj, 0, EnergyParams(0.01, 0.05))

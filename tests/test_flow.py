@@ -44,7 +44,8 @@ def test_config_requires_termination_rule():
 def test_stationary_initial_terminates_immediately():
     seg = straight_segment(1.0, 15)
     cfg = FlowConfig(
-        params=EnergyParams(epsilon=0.01, tau=0.05), n_steps=50, stop_tol=1e-7
+        params=EnergyParams(epsilon=0.01, tau=0.05), n_steps=50, stop_tol=1e-7,
+        solver=SolverOptions(grad_tol=1e-9),
     )
     traj = run_flow(seg, cfg)
     assert traj.n_steps == 1
@@ -105,7 +106,8 @@ def test_coupling_residual_straight_flow(segment_traj):
 
 def test_coupling_residual_stationary_is_zero():
     seg = straight_segment(1.0, 15)
-    cfg = FlowConfig(params=EnergyParams(epsilon=0.01, tau=0.05), n_steps=2)
+    cfg = FlowConfig(params=EnergyParams(epsilon=0.01, tau=0.05), n_steps=2,
+                     solver=SolverOptions(grad_tol=1e-9))
     traj = run_flow(seg, cfg)
     assert np.max(np.abs(velocity(traj, 0).v)) < 1e-6
     res = coupling_residual(traj, 0)
@@ -118,6 +120,7 @@ def test_snapshot_thinning():
         params=EnergyParams(epsilon=0.01, tau=0.05),
         n_steps=20,
         snapshot_every=7,
+        solver=SolverOptions(grad_tol=1e-9),
     )
     traj = run_flow(seg, cfg)
     assert traj.snapshot_steps == [0, 7, 14, 20]

@@ -299,8 +299,12 @@ def test_cli_post_flow_error_exits_two(tmp_path, monkeypatch, capsys):
     assert "usage" not in err.lower()
 
 
-@pytest.mark.parametrize("flag", ["--svg-stride", "--snapshot-every"])
-def test_cli_bad_output_flag_exits_one_before_the_flow(tmp_path, monkeypatch, flag):
+@pytest.mark.parametrize(
+    "flags",
+    [["--svg-stride", "0"], ["--snapshot-every", "0"], ["--diagnostics", "--n", "4"]],
+    ids=["--svg-stride", "--snapshot-every", "--diagnostics"],
+)
+def test_cli_bad_output_flag_exits_one_before_the_flow(tmp_path, monkeypatch, flags):
     def never(*args, **kwargs):
         raise AssertionError("the flow must not start")
 
@@ -308,7 +312,7 @@ def test_cli_bad_output_flag_exits_one_before_the_flow(tmp_path, monkeypatch, fl
     out = tmp_path / "out"
     code = main([
         "run", "--scenario", "segment", "--steps", "3", "--out", str(out),
-        "--svg", flag, "0",
+        "--svg", *flags,
     ])
     assert code == 1
     assert not out.exists()
@@ -335,6 +339,11 @@ def test_readme_commands_parse():
     parser = curveflow.cli.build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+def test_grad_tol_flag_defaults_to_solver_options():
+    args = curveflow.cli.build_parser().parse_args(["run", "--scenario", "segment"])
+    assert args.grad_tol == SolverOptions().grad_tol
 
 
 def test_cli_file_scenario_needs_step_cap(tmp_path):

@@ -18,6 +18,9 @@ from curveflow import (
 
 from oracles import random_open_curve, segment_step_oracle
 
+# The tolerance these tests check against, tighter than the SolverOptions default.
+TIGHT = SolverOptions(grad_tol=1e-9)
+
 
 def straight_segment(length, n):
     pts = np.column_stack([np.linspace(0, length, n), np.zeros(n)])
@@ -26,7 +29,7 @@ def straight_segment(length, n):
 
 def test_stationary_unit_segment_is_fixed_point():
     seg = straight_segment(1.0, 21)
-    nxt, rep = minimize_step(seg, EnergyParams(epsilon=0.01, tau=0.05))
+    nxt, rep = minimize_step(seg, EnergyParams(epsilon=0.01, tau=0.05), TIGHT)
     assert rep.converged
     assert rep.iterations <= 3
     assert np.max(np.abs(nxt.points - seg.points)) < 1e-7
@@ -50,7 +53,7 @@ def test_descent_and_report_consistency():
     for _ in range(10):
         base, edge_len, headings = random_open_curve(rng, 15)
         prev = from_reduced(ReducedCoords(base, edge_len, headings))
-        nxt, rep = minimize_step(prev, params)
+        nxt, rep = minimize_step(prev, params, TIGHT)
         assert rep.f_final <= rep.f_initial
         assert rep.f_initial == pytest.approx(energy(prev, params).total, rel=1e-12)
         if rep.converged:
@@ -67,7 +70,7 @@ def test_scheme_monotonicity_chain():
         base, edge_len, headings = random_open_curve(rng, 12)
         prev = from_reduced(ReducedCoords(base, edge_len, headings))
         e_prev = energy(prev, params).total
-        nxt, rep = minimize_step(prev, params)
+        nxt, rep = minimize_step(prev, params, TIGHT)
         e_next = energy(nxt, params).total
         assert rep.f_final <= e_prev + 1e-10 * (1 + abs(e_prev))
         assert e_next <= rep.f_final + 1e-10 * (1 + abs(e_prev))
@@ -78,8 +81,8 @@ def test_determinism():
     base, edge_len, headings = random_open_curve(rng, 18)
     prev = from_reduced(ReducedCoords(base, edge_len, headings))
     params = EnergyParams(epsilon=0.02, tau=0.05)
-    a, ra = minimize_step(prev, params)
-    b, rb = minimize_step(prev, params)
+    a, ra = minimize_step(prev, params, TIGHT)
+    b, rb = minimize_step(prev, params, TIGHT)
     assert np.array_equal(a.points, b.points)
     assert ra == rb
 
@@ -94,13 +97,13 @@ def test_step_commutes_with_reversal_and_rigid_motions():
         ang = float(rng.uniform(0, 2 * np.pi))
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         shift = rng.uniform(-3, 3, 2)
-        nxt, rep = minimize_step(prev, params)
+        nxt, rep = minimize_step(prev, params, TIGHT)
         cases = [
             (prev.points[::-1], lambda pts: pts[::-1]),
             (prev.points @ rot.T + shift, lambda pts: (pts - shift) @ rot),
         ]
         for moved, undo in cases:
-            other, rep_other = minimize_step(validate(moved), params)
+            other, rep_other = minimize_step(validate(moved), params, TIGHT)
             if rep.converged and rep_other.converged:
                 assert np.max(np.abs(undo(other.points) - nxt.points)) < 1e-8
                 compared += 1
@@ -119,7 +122,7 @@ def test_rejected_trial_is_shrunk(monkeypatch):
 
     monkeypatch.setattr(curveflow.minimize, "_objective_raw", cusp_on_first_trial)
     seg = straight_segment(2.0, 21)
-    nxt, rep = minimize_step(seg, EnergyParams(epsilon=0.01, tau=0.05))
+    nxt, rep = minimize_step(seg, EnergyParams(epsilon=0.01, tau=0.05), TIGHT)
     assert len(calls) > 2
     assert rep.f_final <= rep.f_initial
     assert nxt.total_length < seg.total_length
@@ -129,7 +132,7 @@ def test_max_iters_returns_partial_result(monkeypatch):
     monkeypatch.setattr(curveflow.minimize, "_MAX_ITERS", 2)
     seg = straight_segment(2.0, 31)
     params = EnergyParams(epsilon=0.01, tau=0.05)
-    nxt, rep = minimize_step(seg, params, SolverOptions(grad_tol=1e-9))
+    nxt, rep = minimize_step(seg, params, TIGHT)
     assert not rep.converged
     assert rep.iterations <= 2
     assert rep.f_final <= rep.f_initial

@@ -198,6 +198,15 @@ def test_resample_straight_input():
     assert np.allclose(c.points, [(0, 0), (1, 0), (2, 0), (3, 0)], atol=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_resample_rejects_non_finite_points(bad):
+    pts = np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0), (3.0, 0.0)])
+    pts[2, 1] = bad
+    with pytest.raises(ValueError, match="points must be finite") as info:
+        resample_equal_arclength(pts, 10)
+    assert not isinstance(info.value, UnequalEdges)
+
+
 def test_resample_two_points():
     c = resample_equal_arclength([(0, 0), (1, 1), (3, 0)], 2)
     assert np.allclose(c.points, [(0, 0), (3, 0)])
