@@ -152,7 +152,8 @@ def _run_one(name: str, args) -> None:
         print(
             f"[{name}] steps={traj.n_steps} E0={traj.energies[0]:.6f} "
             f"E={traj.energies[-1]:.6f} length={final.total_length:.6f} "
-            f"gap={final.gap:.6f} crossings={self_intersections(final)}"
+            f"gap={final.gap:.6f} crossings={self_intersections(final)} "
+            f"unconverged={sum(not r.converged for r in traj.reports)}"
         )
     except ValueError as exc:  # e.g. CuspAngle: not a usage error
         raise FlowFailure(f"{type(exc).__name__}: {exc}") from exc

@@ -33,10 +33,6 @@ class MismatchedN(CurveFlowError, ValueError):
     """Two curves that must share a vertex count do not."""
 
 
-class LineSearchFailure(CurveFlowError, RuntimeError):
-    """Backtracking found no acceptable descent step."""
-
-
 class BoundViolation(CurveFlowError, RuntimeError):
     """A runtime invariant of the flow failed; diagnostics attached.
 

@@ -3,15 +3,19 @@ import pytest
 
 import curveflow.minimize
 from curveflow import (
+    PRESETS,
     CuspAngle,
     EnergyParams,
+    FlowConfig,
     ReducedCoords,
     SolverOptions,
     assert_cone_condition,
     energy,
     from_reduced,
+    make_scenario,
     minimize_step,
     objective_gradient,
+    run_flow,
     to_reduced,
     validate,
 )
@@ -31,6 +35,7 @@ def test_stationary_unit_segment_is_fixed_point():
     seg = straight_segment(1.0, 21)
     nxt, rep = minimize_step(seg, EnergyParams(epsilon=0.01, tau=0.05), TIGHT)
     assert rep.converged
+    assert rep.stop_reason == "converged"
     assert rep.iterations <= 3
     assert np.max(np.abs(nxt.points - seg.points)) < 1e-7
 
@@ -134,8 +139,20 @@ def test_max_iters_returns_partial_result(monkeypatch):
     params = EnergyParams(epsilon=0.01, tau=0.05)
     nxt, rep = minimize_step(seg, params, TIGHT)
     assert not rep.converged
-    assert rep.iterations <= 2
+    assert rep.stop_reason == "cap"
+    assert rep.iterations == 2
+    assert rep.n_evals >= 3
     assert rep.f_final <= rep.f_initial
+
+
+@pytest.mark.parametrize("name", ["gamma", "sinus", "asym_gamma", "gamma_small_eps"])
+def test_first_flow_steps_converge(name):
+    # Near grad_tol the Armijo decrease sits below the rounding of F; the
+    # line search must still reach the tolerance on every step.
+    preset = PRESETS[name]
+    cfg = FlowConfig(params=preset.params, n_steps=10)
+    traj = run_flow(make_scenario(preset.scenario), cfg)
+    assert [r.stop_reason for r in traj.reports] == ["converged"] * 10
 
 
 def test_cone_condition():
