@@ -11,7 +11,8 @@ Near the tolerance the decrease Armijo asks for, -alpha*g.d, falls below the
 rounding of F, and the test would reject trials that do improve the iterate.
 So a finite trial whose predicted decrease is at that floor,
 -alpha*g.d <= _FLOOR*(1+|f|), is also accepted when it lowers the gradient
-inf-norm; such a trial may raise F by a few ulps.
+inf-norm. Such a trial may raise F slightly, so F decreases only up to its
+rounding; the flow's ENERGY_SLACK (1e-10) sits far above that.
 Everything is deterministic: identical inputs produce bit-identical outputs.
 """
 
@@ -100,8 +101,8 @@ def minimize_step(
     """Minimize F(., prev) warm-started at prev; returns (curve, report).
 
     The accepted iterates decrease F monotonically up to the rounding of F,
-    so the result satisfies F(next, prev) <= F(prev, prev) = E(prev) up to a
-    few ulps. The solve stops when the analytic gradient inf-norm is at most
+    so the result satisfies F(next, prev) <= F(prev, prev) = E(prev) up to
+    that rounding. The solve stops when the analytic gradient inf-norm is at most
     ``opts.grad_tol`` (``report.converged``). Otherwise it returns the
     partial minimizer, with ``report.stop_reason`` naming the stop: the
     accepted step rounded to zero, no backtracking trial was accepted, or the
