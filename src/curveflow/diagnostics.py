@@ -27,6 +27,9 @@ from .polyline import DiscreteCurve, ReducedCoords, discrete_curvature, rot90
 # The residual stencils reach two vertices in from each end.
 RESIDUAL_MIN_POINTS = 5
 
+# Edges tested at once against every other edge by crossing_pairs.
+_CROSSING_ROWS = 16
+
 
 @dataclass
 class ResidualReport:
@@ -164,15 +167,21 @@ def crossing_pairs(curve: DiscreteCurve) -> list[tuple[int, int]]:
     tol = 1e-12 * scale * scale
     a = pts[:-1]
     b = pts[1:]
+    js = np.arange(m)
     pairs = []
-    for i in range(m - 2):
-        js = np.arange(i + 2, m)  # non-adjacent partners only
-        d1 = _orient(a[i], b[i], a[js], tol)
-        d2 = _orient(a[i], b[i], b[js], tol)
-        d3 = _orient(a[js], b[js], np.broadcast_to(a[i], (js.size, 2)), tol)
-        d4 = _orient(a[js], b[js], np.broadcast_to(b[i], (js.size, 2)), tol)
-        hit = (d1 * d2 < 0) & (d3 * d4 < 0)
-        pairs.extend((i, int(j)) for j in js[hit])
+    # A block of rows i against every edge j, keeping the non-adjacent
+    # partners j >= i + 2; np.nonzero lists the hits row by row.
+    for lo in range(0, m - 2, _CROSSING_ROWS):
+        rows = np.arange(lo, min(lo + _CROSSING_ROWS, m - 2))
+        ai = a[rows, None]
+        bi = b[rows, None]
+        d1 = _orient(ai, bi, a, tol)
+        d2 = _orient(ai, bi, b, tol)
+        d3 = _orient(a, b, ai, tol)
+        d4 = _orient(a, b, bi, tol)
+        hit = (d1 * d2 < 0) & (d3 * d4 < 0) & (js >= rows[:, None] + 2)
+        ii, jj = np.nonzero(hit)
+        pairs.extend(zip((ii + lo).tolist(), jj.tolist()))
     return pairs
 
 

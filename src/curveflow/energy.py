@@ -48,7 +48,6 @@ from .polyline import (
     ReducedCoords,
     edge_frame,
     measures,
-    rot90,
 )
 
 
@@ -113,8 +112,8 @@ def _dissipation_terms(x: np.ndarray, edge_len: float, normals: np.ndarray,
     and D itself."""
     dx = x - prev.points
     mid = 0.5 * (dx[:-1] + dx[1:])
-    a = np.sum(mid * prev.normals, axis=1)
-    b = np.sum(mid * normals, axis=1)
+    a = (mid * prev.normals).sum(axis=1)
+    b = (mid * normals).sum(axis=1)
     d_val = (
         0.25 * prev.edge_len * float(a @ a)
         + 0.25 * edge_len * float(b @ b)
@@ -157,9 +156,15 @@ def _objective_raw(z: np.ndarray, prev: PrevFrame, params: EnergyParams,
     theta = z[3:]
     eps, tau = params.epsilon, params.tau
 
-    u = np.column_stack([np.cos(theta), np.sin(theta)])
-    p = rot90(u)  # current edge normals
-    csum = np.vstack([np.zeros(2), np.cumsum(u, axis=0)])  # sum_{j<i} u_j
+    u = np.empty((n - 1, 2))
+    u[:, 0] = np.cos(theta)
+    u[:, 1] = np.sin(theta)
+    p = np.empty_like(u)  # current edge normals, u rotated by pi/2
+    p[:, 0] = -u[:, 1]
+    p[:, 1] = u[:, 0]
+    csum = np.empty((n, 2))  # csum[i] = sum_{j<i} u_j
+    csum[0] = 0.0
+    np.cumsum(u, axis=0, out=csum[1:])
     x = base + ell * csum
 
     d = x[-1] - x[0]
@@ -171,12 +176,13 @@ def _objective_raw(z: np.ndarray, prev: PrevFrame, params: EnergyParams,
 
     # Bending in the chart: kappa_i = (2/l) tan(delta_i/2) with delta the
     # heading increment, so (eps*l/2) sum kappa^2 = (2 eps / l) sum tan^2.
-    delta = np.diff(theta)
+    delta = theta[1:] - theta[:-1]
     one_plus_cos = 1.0 + np.cos(delta)
-    if delta.size and np.min(one_plus_cos) < CUSP_TOL:
+    if delta.size and one_plus_cos.min() < CUSP_TOL:
         raise CuspAngle("anti-parallel edges inside objective evaluation")
     t_half = np.tan(0.5 * delta)
-    bend = (2.0 * eps / ell) * float(t_half @ t_half)
+    c_bend = 2.0 * eps / ell
+    bend = c_bend * float(t_half @ t_half)
 
     energy_val = (n - 1) * ell + bend - 0.5 * float(np.log(gap2))
 
@@ -187,9 +193,10 @@ def _objective_raw(z: np.ndarray, prev: PrevFrame, params: EnergyParams,
 
     # Point-space gradient of the Coulomb term and of D/tau; each edge
     # projection feeds half its weight to each of its two endpoints.
+    pull = d / gap2
     g_pts = np.zeros((n, 2))
-    g_pts[0] += d / gap2
-    g_pts[-1] -= d / gap2
+    g_pts[0] += pull
+    g_pts[-1] -= pull
     edge_pull = (
         (0.25 * prev.edge_len / tau) * a[:, None] * prev.normals
         + (0.25 * ell / tau) * b[:, None] * p
@@ -202,17 +209,17 @@ def _objective_raw(z: np.ndarray, prev: PrevFrame, params: EnergyParams,
     grad = np.empty(n + 2)
     # Chain rule through the positions.
     grad[:2] = g_pts.sum(axis=0)
-    grad[2] = float(np.sum(g_pts * csum))
+    grad[2] = float((g_pts * csum).sum())
     suffix = g_pts[::-1].cumsum(axis=0)[::-1]  # suffix[j] = sum_{i>=j} g_i
-    grad[3:] = ell * np.sum(suffix[1:] * p, axis=1)
+    grad[3:] = ell * (suffix[1:] * p).sum(axis=1)
 
     # Direct dependence of length, bending and D on (l, theta).
     grad[2] += (n - 1) - bend / ell + 0.25 * float(b @ b) / tau
     if delta.size:
         w = t_half * (1.0 + t_half * t_half)
-        grad[3:-1] -= (2.0 * eps / ell) * w
-        grad[4:] += (2.0 * eps / ell) * w
-    grad[3:] -= (0.5 * ell / tau) * b * np.sum(mid * u, axis=1)
+        grad[3:-1] -= c_bend * w
+        grad[4:] += c_bend * w
+    grad[3:] -= (0.5 * ell / tau) * b * (mid * u).sum(axis=1)
     return f_val, grad
 
 

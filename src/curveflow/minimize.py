@@ -4,8 +4,9 @@ The equal-edge constraint is eliminated by the (base, l, headings) chart, so
 the step is an unconstrained smooth minimization on an open set: l > 0, the
 endpoint gap above a small floor (the log barrier keeps the region open), and
 no anti-parallel edge pairs. An L-BFGS iteration with Armijo backtracking is
-used; the objective rejects steps that leave the open set by raising, and the
-line search halves such a step like any other failed trial.
+used, its history kept in compact form (see _History) and long enough to span
+a whole step; the objective rejects steps that leave the open set by raising,
+and the line search halves such a step like any other failed trial.
 
 Near the tolerance the decrease Armijo asks for, -alpha*g.d, falls below the
 rounding of F, and the test would reject trials that do improve the iterate.
@@ -16,7 +17,6 @@ rounding; the flow's ENERGY_SLACK (1e-10) sits far above that.
 Everything is deterministic: identical inputs produce bit-identical outputs.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +37,9 @@ _MAX_HALVINGS = 60
 _FLOOR = 1e-12
 
 # L-BFGS history length (curvature pairs kept) and iteration cap per step.
-_MEMORY = 25
+# The history spans most steps: the first 40 steps of the gamma preset take at
+# most 100 iterations each.
+_MEMORY = 100
 _MAX_ITERS = 2000
 
 
@@ -57,7 +59,8 @@ class StepReport:
     """How one implicit step ended.
 
     ``stop_reason`` is ``"converged"`` (gradient inf-norm at most
-    ``grad_tol``), ``"zero_step"`` (the accepted step rounded to zero),
+    ``grad_tol``), ``"zero_step"`` (the accepted step rounded to zero with no
+    curvature pair held; with pairs held the solve drops them and goes on),
     ``"no_descent"`` (every backtracking trial was rejected) or ``"cap"``
     (the iteration cap). ``n_evals`` counts objective evaluations, the
     initial one and trials outside the open set included.
@@ -75,22 +78,72 @@ class StepReport:
         return self.stop_reason == "converged"
 
 
-def _two_loop(grad, history):
-    """Standard L-BFGS two-loop recursion over (s, y, rho) pairs, oldest
-    first; returns the descent direction."""
-    q = grad.copy()
-    alphas = []
-    for s, y, rho in reversed(history):
-        a = rho * float(s @ q)
-        q -= a * y
-        alphas.append(a)
-    if history:
-        s, y, _ = history[-1]
-        q *= float(s @ y) / float(y @ y)
-    for (s, y, rho), a in zip(history, reversed(alphas)):
-        b = rho * float(y @ q)
-        q += (a - b) * s
-    return -q
+class _History:
+    """L-BFGS curvature pairs in the compact form of Byrd, Nocedal and
+    Schnabel (1994, Math. Prog. 63).
+
+    Held: the pair rows S and Y, oldest first; the inverse of R, the upper
+    triangle of S Y^T; the Gram matrix Y Y^T; and D = diag(s_i . y_i). A
+    direction costs seven matrix-vector products whatever the number of pairs,
+    and applies the inverse-Hessian approximation of the two-loop recursion
+    with the initial scaling gamma = s.y / y.y of the newest pair. Storage
+    grows by doubling with the pairs held, up to _MEMORY pairs; from then on
+    each append drops the oldest pair.
+    """
+
+    def __init__(self, size: int):
+        self.m = 0
+        cap = min(8, _MEMORY)
+        self.s = np.empty((cap, size))
+        self.y = np.empty((cap, size))
+        self.d = np.empty(cap)
+        self.rinv = np.zeros((cap, cap))
+        self.yy = np.empty((cap, cap))
+
+    def __len__(self):
+        return self.m
+
+    def clear(self):
+        self.m = 0
+
+    def append(self, s, y, sy):
+        """Add the pair (s, y) with s.y = sy > 0."""
+        m = self.m
+        if m == _MEMORY:
+            # R's trailing block is upper triangular, so its inverse is the
+            # trailing block of R^-1.
+            m -= 1
+            for a in (self.s, self.y, self.d):
+                a[:m] = a[1 : m + 1]
+            for a in (self.rinv, self.yy):
+                a[:m, :m] = a[1 : m + 1, 1 : m + 1]
+        elif m == len(self.d):
+            extra = min(2 * m, _MEMORY) - m
+            self.s = np.pad(self.s, ((0, extra), (0, 0)))
+            self.y = np.pad(self.y, ((0, extra), (0, 0)))
+            self.d = np.pad(self.d, (0, extra))
+            self.rinv = np.pad(self.rinv, (0, extra))
+            self.yy = np.pad(self.yy, (0, extra))
+        # Border R^-1 = [[R0^-1, -R0^-1 r / sy], [0, 1 / sy]], r_i = s_i . y;
+        # below the diagonal rinv stays zero.
+        self.rinv[:m, m] = (self.rinv[:m, :m] @ (self.s[:m] @ y)) / -sy
+        self.rinv[m, m] = 1.0 / sy
+        self.yy[m, :m] = self.yy[:m, m] = self.y[:m] @ y
+        self.yy[m, m] = y @ y
+        self.s[m], self.y[m], self.d[m] = s, y, sy
+        self.m = m + 1
+
+    def direction(self, g):
+        """The quasi-Newton direction -H g; -g while no pair is held."""
+        m = self.m
+        if m == 0:
+            return -g
+        s, y, d = self.s[:m], self.y[:m], self.d[:m]
+        rinv = self.rinv[:m, :m]
+        gamma = d[-1] / self.yy[m - 1, m - 1]
+        t = rinv @ (s @ g)
+        w = (d * t + gamma * (self.yy[:m, :m] @ t - y @ g)) @ rinv
+        return -(gamma * (g - t @ y) + w @ s)
 
 
 def minimize_step(
@@ -129,7 +182,7 @@ def minimize_step(
     f_initial = f
     n_evals = 1
 
-    history = deque(maxlen=_MEMORY)  # (s, y, rho), oldest first
+    history = _History(n + 2)
     iterations = 0
 
     while True:
@@ -141,7 +194,7 @@ def minimize_step(
             stop_reason = "cap"
             break
 
-        d = _two_loop(g, history)
+        d = history.direction(g)
         gd = float(g @ d)
         if not np.isfinite(gd) or gd >= 0.0:
             d = -g
@@ -173,12 +226,18 @@ def minimize_step(
 
         s_vec = w_trial - w
         if not np.any(s_vec):
-            stop_reason = "zero_step"
-            break
+            # The step rounded away; restart from steepest descent unless the
+            # history is already empty. Each restart needs a pair stored since
+            # the last, so restarts are bounded by _MAX_ITERS.
+            if not history:
+                stop_reason = "zero_step"
+                break
+            history.clear()
+            continue
         y_vec = g_trial - g
         sy = float(s_vec @ y_vec)
         if sy > 1e-12 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-            history.append((s_vec, y_vec, 1.0 / sy))
+            history.append(s_vec, y_vec, sy)
 
         w, f, g = w_trial, f_trial, g_trial
         iterations += 1

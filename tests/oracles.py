@@ -3,7 +3,9 @@
 These deliberately avoid the package's own evaluation paths: the 1-D segment
 flow is a scalar root-finding recursion, intersections are brute-force pair
 checks, arclength is dense piecewise-linear quadrature, and derivative checks
-are plain central differences.
+are plain central differences. The L-BFGS two-loop recursion and the
+crossing search over one edge at a time are the simple forms of the
+package's compact-form history and blocked crossing search.
 """
 
 import numpy as np
@@ -102,3 +104,45 @@ def random_open_curve(rng, n: int, min_gap: float = 0.1):
         if np.linalg.norm(pts[-1] - pts[0]) > min_gap * total:
             return base, edge_len, headings
     raise AssertionError("could not draw an admissible random curve")
+
+
+def two_loop_direction(grad: np.ndarray, pairs) -> np.ndarray:
+    """L-BFGS direction -H g by the standard two-loop recursion over
+    (s, y) pairs, oldest first, with the initial scaling s.y / y.y of the
+    newest pair."""
+    q = grad.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        a = float(s @ q) / float(s @ y)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y = pairs[-1]
+        q *= float(s @ y) / float(y @ y)
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        b = float(y @ q) / float(s @ y)
+        q += (a - b) * s
+    return -q
+
+
+def crossing_pairs_by_rows(points: np.ndarray, orient) -> list:
+    """Properly crossing non-adjacent edge pairs (i, j), one edge i at a time
+    against its partners j >= i + 2, with the package's orientation test
+    ``orient(p, q, r, tol)``."""
+    m = len(points) - 1
+    if m < 3:
+        return []
+    scale = max(float(np.max(np.abs(points))), 1.0)
+    tol = 1e-12 * scale * scale
+    a = points[:-1]
+    b = points[1:]
+    pairs = []
+    for i in range(m - 2):
+        js = np.arange(i + 2, m)
+        d1 = orient(a[i], b[i], a[js], tol)
+        d2 = orient(a[i], b[i], b[js], tol)
+        d3 = orient(a[js], b[js], np.broadcast_to(a[i], (js.size, 2)), tol)
+        d4 = orient(a[js], b[js], np.broadcast_to(b[i], (js.size, 2)), tol)
+        hit = (d1 * d2 < 0) & (d3 * d4 < 0)
+        pairs.extend((i, int(j)) for j in js[hit])
+    return pairs

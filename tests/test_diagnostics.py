@@ -19,9 +19,9 @@ from curveflow import (
     to_reduced,
     validate,
 )
-from curveflow.diagnostics import crossing_pairs, full_residual_report
+from curveflow.diagnostics import _orient, crossing_pairs, full_residual_report
 
-from oracles import brute_force_crossings, random_open_curve
+from oracles import brute_force_crossings, crossing_pairs_by_rows, random_open_curve
 
 
 def straight_segment(length, n):
@@ -159,6 +159,25 @@ def test_self_intersections_random_matches_brute_force():
         base, edge_len, headings = random_open_curve(rng, 20, min_gap=1e-3)
         c = from_reduced(ReducedCoords(base, edge_len, headings))
         assert self_intersections(c) == brute_force_crossings(c.points)
+
+
+def test_crossing_pairs_match_edge_by_edge_search():
+    # Blocks of rows against every partner list the same pairs in the same
+    # order as the search over one edge at a time, also past one block.
+    curves = [make_scenario(Scenario(kind=kind, n=n))
+              for kind in ("gamma", "asym_gamma", "sinus", "segment") for n in (5, 120)]
+    rng = np.random.default_rng(44)
+    for n in (4, 17, 40, 90):
+        for _ in range(5):
+            headings = np.cumsum(rng.uniform(-2.5, 2.5, n - 1))
+            steps = np.column_stack([np.cos(headings), np.sin(headings)])
+            curves.append(validate(np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])))
+    found = 0
+    for c in curves:
+        pairs = crossing_pairs(c)
+        assert pairs == crossing_pairs_by_rows(c.points, _orient)
+        found += len(pairs)
+    assert found > 50
 
 
 def test_loop_diameter_gamma():

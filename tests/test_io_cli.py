@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shlex
 import subprocess
@@ -225,6 +226,25 @@ def test_cli_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 1
     assert "usage" in proc.stderr.lower()
+
+
+def test_cli_output_is_independent_of_blas_threads(tmp_path):
+    # The solver's matrix-vector products go through BLAS; its thread count
+    # must not change a single output byte.
+    src = str(Path(curveflow.cli.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "curveflow.cli", "run", "--scenario", "gamma",
+             "--steps", "5", "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256((out / "gamma.jsonl").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_cli_run_segment_to_unit_length(tmp_path, capsys):

@@ -20,7 +20,7 @@ from curveflow import (
     validate,
 )
 
-from oracles import random_open_curve, segment_step_oracle
+from oracles import random_open_curve, segment_step_oracle, two_loop_direction
 
 # The tolerance these tests check against, tighter than the SolverOptions default.
 TIGHT = SolverOptions(grad_tol=1e-9)
@@ -131,6 +131,51 @@ def test_rejected_trial_is_shrunk(monkeypatch):
     assert len(calls) > 2
     assert rep.f_final <= rep.f_initial
     assert nxt.total_length < seg.total_length
+
+
+def test_compact_history_matches_two_loop_recursion():
+    # Appends past the initial capacity and past _MEMORY (the oldest pair is
+    # dropped), then a clear() and appends again.
+    memory = curveflow.minimize._MEMORY
+    rng = np.random.default_rng(36)
+    for size in (7, 60, 150):
+        a = rng.normal(size=(size, size))
+        hess = a @ a.T / size + np.eye(size)
+        history = curveflow.minimize._History(size)
+        pairs = []
+        for k in range(memory + 40 + 30):
+            g = rng.normal(size=size)
+            if k == memory + 40:
+                history.clear()
+                pairs.clear()
+                assert np.array_equal(history.direction(g), -g)
+            s = rng.normal(size=size)
+            y = hess @ s + 0.1 * rng.normal(size=size)
+            history.append(s, y, float(s @ y))
+            pairs = (pairs + [(s, y)])[-memory:]
+            expected = two_loop_direction(g, pairs)
+            assert len(history) == len(pairs)
+            np.testing.assert_allclose(history.direction(g), expected,
+                                       rtol=1e-10, atol=1e-10 * np.max(np.abs(expected)))
+
+
+def test_zero_step_clears_history_and_converges(monkeypatch):
+    # A direction so short that the accepted step rounds to zero in w: the
+    # solve drops its curvature pairs and goes on from steepest descent.
+    real = curveflow.minimize._History.direction
+    held = []
+
+    def vanishing_third(self, g):
+        held.append(len(self))
+        d = real(self, g)
+        return d * 1e-300 if len(held) == 3 else d
+
+    monkeypatch.setattr(curveflow.minimize._History, "direction", vanishing_third)
+    seg = straight_segment(2.0, 21)
+    nxt, rep = minimize_step(seg, EnergyParams(epsilon=0.01, tau=0.05), TIGHT)
+    assert held[2] > 0 and held[3] == 0
+    assert rep.stop_reason == "converged"
+    assert nxt.total_length == pytest.approx(segment_step_oracle(2.0, 0.05), abs=1e-6)
 
 
 def test_max_iters_returns_partial_result(monkeypatch):
