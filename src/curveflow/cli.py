@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .diagnostics import (
+    RESIDUAL_CSV_HEADER,
     RESIDUAL_MIN_POINTS,
     fd_gradient_check,
     full_residual_report,
@@ -135,17 +136,10 @@ def _run_one(name: str, args) -> None:
         if args.diagnostics:
             diag_path = os.path.join(args.out, f"{name}.diagnostics.csv")
             with open(diag_path, "w") as fh:
-                fh.write("snapshot_step,interior_L2,interior_max,coupling_L2,"
-                         "boundary_start,boundary_end,kappa_start,kappa_end\n")
+                fh.write(RESIDUAL_CSV_HEADER)
                 for k in range(len(traj.snapshots) - 1):
                     rep = full_residual_report(traj, k, params)
-                    fh.write(
-                        f"{traj.snapshot_steps[k]},{rep.interior_L2:.9e},"
-                        f"{rep.interior_max:.9e},{rep.coupling_L2:.9e},"
-                        f"{np.linalg.norm(rep.boundary_start):.9e},"
-                        f"{np.linalg.norm(rep.boundary_end):.9e},"
-                        f"{rep.kappa_boundary[0]:.9e},{rep.kappa_boundary[1]:.9e}\n"
-                    )
+                    fh.write(rep.csv_row(traj.snapshot_steps[k]))
             outputs.append(diag_path)
 
         final = traj.final

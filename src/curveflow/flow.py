@@ -10,19 +10,13 @@ curves. Any violation raises BoundViolation with the offending numbers.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .energy import EnergyParams, dissipation, energy
-from .errors import BoundViolation, IndexOutOfRange
-from .minimize import (
-    SolverOptions,
-    StepReport,
-    assert_cone_condition,
-    minimize_step,
-)
-from .polyline import GAP_FLOOR, DiscreteCurve, discrete_curvature, edge_frame, rot90
+from .errors import BoundViolation, MismatchedN
+from .minimize import SolverOptions, StepReport, minimize_step
+from .polyline import GAP_FLOOR, DiscreteCurve
 
 ENERGY_SLACK = 1e-10
 DISSIPATION_SLACK = 1e-8
@@ -85,97 +79,18 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-class VelocityField(NamedTuple):
-    """Difference-quotient velocity of one recorded step and its split into
-    tangential/normal parts against the arrival curve's vertex tangents."""
-
-    v: np.ndarray           # (N, 2) vertex velocities
-    v_tan: np.ndarray       # (N,) tangential components
-    v_norm: np.ndarray      # (N,) normal components
-    vertex_tangents: np.ndarray  # (N, 2) unit tangents used for the split
-
-
-def vertex_tangents(curve: DiscreteCurve) -> np.ndarray:
-    """Unit vertex tangents: edge tangent at the ends, normalized bisector
-    (sum of adjacent edge tangents) at interior vertices."""
-    t = edge_frame(curve).tangents
-    out = np.empty((curve.n, 2))
-    out[0] = t[0]
-    out[-1] = t[-1]
-    if curve.n > 2:
-        mid = t[:-1] + t[1:]
-        norms = np.linalg.norm(mid, axis=1, keepdims=True)
-        out[1:-1] = mid / norms
-    return out
+def assert_cone_condition(next_curve: DiscreteCurve, prev: DiscreteCurve) -> bool:
+    """True iff every edge tangent kept a non-negative dot with its
+    predecessor, i.e. the step stayed inside the admissible cone of prev."""
+    if next_curve.n != prev.n:
+        raise MismatchedN(f"curves have N={next_curve.n} and N={prev.n}")
+    e_new = next_curve.edges
+    e_old = prev.edges
+    dots = np.sum(e_new * e_old, axis=1)
+    return bool(np.all(dots >= 0.0))
 
 
-def velocity(traj: Trajectory, n: int) -> VelocityField:
-    """Velocity of recorded step n -> n+1 (snapshot indices)."""
-    if n < 0 or n + 1 >= len(traj.snapshots):
-        raise IndexOutOfRange(f"need snapshots {n} and {n + 1} recorded")
-    cur = traj.snapshots[n + 1]
-    dt = (traj.snapshot_steps[n + 1] - traj.snapshot_steps[n]) * traj.tau
-    v = (cur.points - traj.snapshots[n].points) / dt
-    tvec = vertex_tangents(cur)
-    v_tan = np.sum(v * tvec, axis=1)
-    v_norm = np.sum(v * rot90(tvec), axis=1)
-    return VelocityField(v=v, v_tan=v_tan, v_norm=v_norm, vertex_tangents=tvec)
-
-
-class CouplingResidual(NamedTuple):
-    per_vertex: np.ndarray  # interior vertices i = 2..N-1
-    max_norm: float
-    l2_norm: float
-
-
-def coupling_residual(traj: Trajectory, n: int) -> CouplingResidual:
-    """Discrete defect of the tangential/normal speed coupling identity.
-
-    In the unit-parameter chart the constant-speed constraint forces
-
-        d/ds <V, G~ + G> = (L~ + L) dL/dt + L~^2 k~ <V, R(t~)> + L^2 k <V, R(t)>
-
-    where G, G~ are the full-speed tangents (|G| = L), k the curvature and t
-    the unit tangent of the arrival/previous curves. The left side is formed
-    from edge values of <V, G~ + G> differenced at interior vertices with
-    spacing 1/(N-1); the right side uses vertex curvatures and bisector vertex
-    tangents. The residual is reported per interior vertex.
-    """
-    if n < 0 or n + 1 >= len(traj.snapshots):
-        raise IndexOutOfRange(f"need snapshots {n} and {n + 1} recorded")
-    prev = traj.snapshots[n]
-    cur = traj.snapshots[n + 1]
-    dt = (traj.snapshot_steps[n + 1] - traj.snapshot_steps[n]) * traj.tau
-    nv = cur.n
-    h = 1.0 / (nv - 1)
-    L_prev = prev.total_length
-    L_cur = cur.total_length
-
-    v = (cur.points - prev.points) / dt
-    g_prev = np.diff(prev.points, axis=0) / h  # full-speed edge tangents
-    g_cur = np.diff(cur.points, axis=0) / h
-    v_edge = 0.5 * (v[:-1] + v[1:])
-    q = np.sum(v_edge * (g_prev + g_cur), axis=1)
-    dq = np.diff(q) / h  # at interior vertices 2..N-1
-
-    kap_prev = discrete_curvature(prev)
-    kap_cur = discrete_curvature(cur)
-    t_prev = vertex_tangents(prev)[1:-1]
-    t_cur = vertex_tangents(cur)[1:-1]
-    v_int = v[1:-1]
-    rhs = (L_prev + L_cur) * (L_cur - L_prev) / dt
-    rhs = rhs + L_prev**2 * kap_prev * np.sum(v_int * rot90(t_prev), axis=1)
-    rhs = rhs + L_cur**2 * kap_cur * np.sum(v_int * rot90(t_cur), axis=1)
-
-    r = dq - rhs
-    return CouplingResidual(
-        per_vertex=r,
-        max_norm=float(np.max(np.abs(r))),
-        l2_norm=float(np.sqrt(h * float(r @ r))),
-    )
-
-
-def _check_bounds(step, e_prev, breakdown, next_curve, e0, diss_sum):
+def _check_bounds(step, e_prev, breakdown, next_curve, prev, e0, diss_sum):
     e_next = breakdown.total
     details = {
         "E_prev": e_prev,
@@ -185,6 +100,9 @@ def _check_bounds(step, e_prev, breakdown, next_curve, e0, diss_sum):
         "bend": breakdown.bending_term,
         "sum_D_over_tau": diss_sum,
     }
+    if not assert_cone_condition(next_curve, prev):
+        raise BoundViolation(
+            "tangent cone condition violated (tau too large?)", step, details)
     if e_next > e_prev + ENERGY_SLACK * (1.0 + abs(e0)):
         raise BoundViolation("energy increased", step, details)
     if next_curve.gap < GAP_FLOOR:
@@ -217,14 +135,7 @@ def run_flow(initial: DiscreteCurve, cfg: FlowConfig) -> Trajectory:
         diss_sum += d_over_tau
         breakdown = energy(cur, params)
         e_next = breakdown.total
-
-        if not assert_cone_condition(cur, prev):
-            raise BoundViolation(
-                "tangent cone condition violated (tau too large?)",
-                step,
-                {"E_prev": e_prev, "E_next": e_next},
-            )
-        _check_bounds(step, e_prev, breakdown, cur, e0, diss_sum)
+        _check_bounds(step, e_prev, breakdown, cur, prev, e0, diss_sum)
 
         traj.energies.append(e_next)
         traj.lengths.append(cur.total_length)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyParams, PrevFrame, _objective_raw
-from .errors import CuspAngle, DegenerateGap, MismatchedN, ZeroEdgeLength
+from .errors import CuspAngle, DegenerateGap, ZeroEdgeLength
 from .polyline import DiscreteCurve, ReducedCoords, from_reduced, to_reduced
 
 # Armijo sufficient-decrease constant and the backtracking shrink factor.
@@ -78,6 +78,13 @@ class StepReport:
         return self.stop_reason == "converged"
 
 
+def _grown(a, shape):
+    """a copied into the leading corner of a zero array of the given shape."""
+    out = np.zeros(shape)
+    out[tuple(slice(k) for k in a.shape)] = a
+    return out
+
+
 class _History:
     """L-BFGS curvature pairs in the compact form of Byrd, Nocedal and
     Schnabel (1994, Math. Prog. 63).
@@ -118,12 +125,13 @@ class _History:
             for a in (self.rinv, self.yy):
                 a[:m, :m] = a[1 : m + 1, 1 : m + 1]
         elif m == len(self.d):
-            extra = min(2 * m, _MEMORY) - m
-            self.s = np.pad(self.s, ((0, extra), (0, 0)))
-            self.y = np.pad(self.y, ((0, extra), (0, 0)))
-            self.d = np.pad(self.d, (0, extra))
-            self.rinv = np.pad(self.rinv, (0, extra))
-            self.yy = np.pad(self.yy, (0, extra))
+            cap = min(2 * m, _MEMORY)
+            size = self.s.shape[1]
+            self.s = _grown(self.s, (cap, size))
+            self.y = _grown(self.y, (cap, size))
+            self.d = _grown(self.d, (cap,))
+            self.rinv = _grown(self.rinv, (cap, cap))
+            self.yy = _grown(self.yy, (cap, cap))
         # Border R^-1 = [[R0^-1, -R0^-1 r / sy], [0, 1 / sy]], r_i = s_i . y;
         # below the diagonal rinv stays zero.
         self.rinv[:m, m] = (self.rinv[:m, :m] @ (self.s[:m] @ y)) / -sy
@@ -252,14 +260,3 @@ def minimize_step(
     )
     next_curve = from_reduced(ReducedCoords.from_vector(scale * w))
     return next_curve, report
-
-
-def assert_cone_condition(next_curve: DiscreteCurve, prev: DiscreteCurve) -> bool:
-    """True iff every edge tangent kept a non-negative dot with its
-    predecessor, i.e. the step stayed inside the admissible cone of prev."""
-    if next_curve.n != prev.n:
-        raise MismatchedN(f"curves have N={next_curve.n} and N={prev.n}")
-    e_new = next_curve.edges
-    e_old = prev.edges
-    dots = np.sum(e_new * e_old, axis=1)
-    return bool(np.all(dots >= 0.0))

@@ -5,10 +5,15 @@ flow is a scalar root-finding recursion, intersections are brute-force pair
 checks, arclength is dense piecewise-linear quadrature, and derivative checks
 are plain central differences. The L-BFGS two-loop recursion and the
 crossing search over one edge at a time are the simple forms of the
-package's compact-form history and blocked crossing search.
+package's compact-form history and blocked crossing search. The residuals
+of one recorded step, computed in three independent parts that each
+re-evaluate the velocity, curvature and tangents they need, are the
+reference for the one-pass ``full_residual_report``.
 """
 
 import numpy as np
+
+from curveflow.polyline import discrete_curvature, edge_frame, rot90
 
 
 def segment_step_oracle(length_prev: float, tau: float) -> float:
@@ -146,3 +151,97 @@ def crossing_pairs_by_rows(points: np.ndarray, orient) -> list:
         hit = (d1 * d2 < 0) & (d3 * d4 < 0)
         pairs.extend((i, int(j)) for j in js[hit])
     return pairs
+
+
+def _vertex_tangents(curve) -> np.ndarray:
+    t = edge_frame(curve).tangents
+    out = np.empty((curve.n, 2))
+    out[0] = t[0]
+    out[-1] = t[-1]
+    if curve.n > 2:
+        mid = t[:-1] + t[1:]
+        norms = np.linalg.norm(mid, axis=1, keepdims=True)
+        out[1:-1] = mid / norms
+    return out
+
+
+def _velocity(traj, n):
+    """(v, v_norm) of recorded step n -> n+1."""
+    cur = traj.snapshots[n + 1]
+    dt = (traj.snapshot_steps[n + 1] - traj.snapshot_steps[n]) * traj.tau
+    v = (cur.points - traj.snapshots[n].points) / dt
+    tvec = _vertex_tangents(cur)
+    return v, np.sum(v * rot90(tvec), axis=1)
+
+
+def _interior_residual(traj, n, params) -> dict:
+    cur = traj.snapshots[n + 1]
+    h = 1.0 / (cur.n - 1)
+    kap = discrete_curvature(cur)
+    L = cur.total_length
+    v_norm = _velocity(traj, n)[1]
+    kss = (kap[2:] - 2.0 * kap[1:-1] + kap[:-2]) / h**2
+    k_mid = kap[1:-1]
+    r = v_norm[2:-2] - k_mid + params.epsilon * (kss / L**2 + 0.5 * k_mid**3)
+    weights = np.full(r.size, h)
+    weights[0] = weights[-1] = 0.5 * h
+    return {
+        "interior_L2": float(np.sqrt(np.sum(weights * r * r))),
+        "interior_max": float(np.max(np.abs(r))),
+    }
+
+
+def _boundary_residual(traj, n, params) -> dict:
+    cur = traj.snapshots[n + 1]
+    h = 1.0 / (cur.n - 1)
+    kap = discrete_curvature(cur)
+    L = cur.total_length
+    v = _velocity(traj, n)[0]
+    tvec = _vertex_tangents(cur)
+    d = cur.points[-1] - cur.points[0]
+    gap2 = float(d @ d)
+    ks0 = (-2.5 * kap[0] + 4.0 * kap[1] - 1.5 * kap[2]) / h
+    ks1 = (2.5 * kap[-1] - 4.0 * kap[-2] + 1.5 * kap[-3]) / h
+    rhs_start = -d / gap2 + tvec[0] - (params.epsilon / L) * ks0 * rot90(tvec[0])
+    rhs_end = d / gap2 - tvec[-1] + (params.epsilon / L) * ks1 * rot90(tvec[-1])
+    return {
+        "boundary_start": v[0] - rhs_start,
+        "boundary_end": v[-1] - rhs_end,
+        "kappa_boundary": (float(abs(kap[0])), float(abs(kap[-1]))),
+    }
+
+
+def _coupling_l2(traj, n) -> float:
+    prev = traj.snapshots[n]
+    cur = traj.snapshots[n + 1]
+    dt = (traj.snapshot_steps[n + 1] - traj.snapshot_steps[n]) * traj.tau
+    h = 1.0 / (cur.n - 1)
+    L_prev = prev.total_length
+    L_cur = cur.total_length
+    v = (cur.points - prev.points) / dt
+    g_prev = np.diff(prev.points, axis=0) / h
+    g_cur = np.diff(cur.points, axis=0) / h
+    v_edge = 0.5 * (v[:-1] + v[1:])
+    q = np.sum(v_edge * (g_prev + g_cur), axis=1)
+    dq = np.diff(q) / h
+    kap_prev = discrete_curvature(prev)
+    kap_cur = discrete_curvature(cur)
+    t_prev = _vertex_tangents(prev)[1:-1]
+    t_cur = _vertex_tangents(cur)[1:-1]
+    v_int = v[1:-1]
+    rhs = (L_prev + L_cur) * (L_cur - L_prev) / dt
+    rhs = rhs + L_prev**2 * kap_prev * np.sum(v_int * rot90(t_prev), axis=1)
+    rhs = rhs + L_cur**2 * kap_cur * np.sum(v_int * rot90(t_cur), axis=1)
+    r = dq - rhs
+    return float(np.sqrt(h * float(r @ r)))
+
+
+def residual_parts(traj, n: int, params) -> dict:
+    """Every ResidualReport field of recorded step n -> n+1 from the interior,
+    endpoint and coupling residuals computed apart."""
+    return {
+        "step_index": n,
+        **_interior_residual(traj, n, params),
+        **_boundary_residual(traj, n, params),
+        "coupling_L2": _coupling_l2(traj, n),
+    }

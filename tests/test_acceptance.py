@@ -15,11 +15,10 @@ from curveflow import (
     ReducedCoords,
     Scenario,
     SolverOptions,
-    coupling_residual,
     discrete_curvature,
     fd_gradient_check,
     from_reduced,
-    interior_residual,
+    full_residual_report,
     loop_diameter,
     make_scenario,
     run_flow,
@@ -275,8 +274,9 @@ def test_criterion_8_residual_refinement():
             solver=RUN_OPTS,
         )
         traj = run_flow(initial, cfg)
-        interior[tau] = interior_residual(traj, steps, cfg.params).interior_L2
-        coupling[tau] = coupling_residual(traj, steps).l2_norm
+        rep = full_residual_report(traj, steps, cfg.params)
+        interior[tau] = rep.interior_L2
+        coupling[tau] = rep.coupling_L2
     r_int = interior[0.125] / interior[0.25]
     r_cpl = coupling[0.125] / coupling[0.25]
     wall = time.perf_counter() - t0

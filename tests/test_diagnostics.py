@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from curveflow import (
+    PRESETS,
     EnergyParams,
     FlowConfig,
     ReducedCoords,
     Scenario,
     SolverOptions,
     TooFewPoints,
-    boundary_residual,
     fd_gradient_check,
     from_reduced,
-    interior_residual,
+    full_residual_report,
     loop_diameter,
     make_scenario,
     run_flow,
@@ -19,9 +19,14 @@ from curveflow import (
     to_reduced,
     validate,
 )
-from curveflow.diagnostics import _orient, crossing_pairs, full_residual_report
+from curveflow.diagnostics import _orient, crossing_pairs
 
-from oracles import brute_force_crossings, crossing_pairs_by_rows, random_open_curve
+from oracles import (
+    brute_force_crossings,
+    crossing_pairs_by_rows,
+    random_open_curve,
+    residual_parts,
+)
 
 
 def straight_segment(length, n):
@@ -74,7 +79,7 @@ def shrink_traj():
 
 
 def test_interior_residual_straight_flow(shrink_traj):
-    rep = interior_residual(shrink_traj, 0, EnergyParams(0.01, 0.05))
+    rep = full_residual_report(shrink_traj, 0, EnergyParams(0.01, 0.05))
     assert rep.interior_max < 1e-8
     assert rep.interior_L2 < 1e-8
 
@@ -84,7 +89,7 @@ def test_interior_residual_stationary_zero():
     cfg = FlowConfig(params=EnergyParams(epsilon=0.01, tau=0.05), n_steps=1,
                      solver=SolverOptions(grad_tol=1e-9))
     traj = run_flow(seg, cfg)
-    rep = interior_residual(traj, 0, EnergyParams(0.01, 0.05))
+    rep = full_residual_report(traj, 0, EnergyParams(0.01, 0.05))
     assert rep.interior_max < 1e-10
 
 
@@ -93,14 +98,14 @@ def test_boundary_residual_stationary_unit_segment():
     cfg = FlowConfig(params=EnergyParams(epsilon=0.01, tau=0.05), n_steps=1,
                      solver=SolverOptions(grad_tol=1e-9))
     traj = run_flow(seg, cfg)
-    rep = boundary_residual(traj, 0, EnergyParams(0.01, 0.05))
+    rep = full_residual_report(traj, 0, EnergyParams(0.01, 0.05))
     assert np.linalg.norm(rep.boundary_start) < 1e-7
     assert np.linalg.norm(rep.boundary_end) < 1e-7
     assert rep.kappa_boundary[0] < 1e-10
 
 
 def test_boundary_residual_first_shrink_step(shrink_traj):
-    rep = boundary_residual(shrink_traj, 0, EnergyParams(0.01, 0.05))
+    rep = full_residual_report(shrink_traj, 0, EnergyParams(0.01, 0.05))
     assert np.linalg.norm(rep.boundary_start) < 0.1
     assert np.linalg.norm(rep.boundary_end) < 0.1
 
@@ -111,7 +116,7 @@ def test_residuals_require_five_points():
                      solver=SolverOptions(grad_tol=1e-9))
     traj = run_flow(seg, cfg)
     with pytest.raises(TooFewPoints):
-        interior_residual(traj, 0, EnergyParams(0.01, 0.05))
+        full_residual_report(traj, 0, EnergyParams(0.01, 0.05))
 
 
 def test_full_report_is_finite_on_sinus():
@@ -129,6 +134,27 @@ def test_full_report_is_finite_on_sinus():
         assert np.isfinite(rep.coupling_L2)
         assert np.all(np.isfinite(rep.boundary_start))
         assert np.all(np.isfinite(rep.boundary_end))
+
+
+@pytest.mark.parametrize("kind, n, every", [("sinus", 41, 1), ("gamma", 60, 3)])
+def test_full_report_matches_three_part_reference(kind, n, every):
+    # One pass over the arrival curve gives the same bits as the interior,
+    # endpoint and coupling residuals computed apart, also across thinned
+    # snapshots (dt = every * tau, and a shorter last one).
+    preset = PRESETS[kind]
+    cfg = FlowConfig(params=preset.params, n_steps=13, snapshot_every=every)
+    traj = run_flow(make_scenario(Scenario(kind=kind, n=n)), cfg)
+    assert len(traj.snapshots) >= 5
+    for k in range(len(traj.snapshots) - 1):
+        rep = full_residual_report(traj, k, cfg.params)
+        ref = residual_parts(traj, k, cfg.params)
+        assert rep.step_index == ref["step_index"] == k
+        assert rep.interior_L2 == ref["interior_L2"]
+        assert rep.interior_max == ref["interior_max"]
+        assert np.array_equal(rep.boundary_start, ref["boundary_start"])
+        assert np.array_equal(rep.boundary_end, ref["boundary_end"])
+        assert rep.kappa_boundary == ref["kappa_boundary"]
+        assert rep.coupling_L2 == ref["coupling_L2"]
 
 
 def test_self_intersections_straight():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import curveflow.flow
 from curveflow import (
+    BoundViolation,
     EnergyParams,
     FlowConfig,
     IndexOutOfRange,
@@ -76,6 +78,26 @@ def test_apriori_bounds_along_run(segment_traj):
             traj.snapshot_steps[k]
         ] + 1e-12
         assert c.total_length <= 2.0 * (e0 + 1.0)
+
+
+def test_cone_violation_carries_bound_details(monkeypatch):
+    # A step that reverses the curve leaves the tangent cone; the violation
+    # reports the same numbers as every other bound check.
+    def reversing_step(prev, params, opts=None):
+        return validate(prev.points[::-1]), None
+
+    monkeypatch.setattr(curveflow.flow, "minimize_step", reversing_step)
+    seg = straight_segment(2.0, 15)
+    cfg = FlowConfig(params=EnergyParams(epsilon=0.01, tau=0.05), n_steps=3)
+    with pytest.raises(BoundViolation, match="tangent cone") as exc:
+        run_flow(seg, cfg)
+    assert exc.value.step == 1
+    details = exc.value.details
+    assert set(details) == {"E_prev", "E_next", "gap", "length", "bend",
+                            "sum_D_over_tau"}
+    assert details["gap"] == pytest.approx(seg.gap)
+    assert details["length"] == pytest.approx(seg.total_length)
+    assert details["sum_D_over_tau"] > 0.0
 
 
 def test_velocity_stationary_and_reconstruction(segment_traj):
