@@ -38,12 +38,10 @@ from .minimize import SolverOptions, StepReport, minimize_step
 from .polyline import (
     DiscreteCurve,
     EdgeFrame,
-    Measures,
     ReducedCoords,
     discrete_curvature,
     edge_frame,
     from_reduced,
-    measures,
     resample_equal_arclength,
     to_reduced,
     turning_angles,
@@ -65,7 +63,6 @@ __all__ = [
     "EnergyParams",
     "FlowConfig",
     "IndexOutOfRange",
-    "Measures",
     "MismatchedN",
     "PRESETS",
     "Preset",
@@ -91,7 +88,6 @@ __all__ = [
     "full_residual_report",
     "loop_diameter",
     "make_scenario",
-    "measures",
     "minimize_step",
     "objective",
     "objective_gradient",

@@ -3,7 +3,6 @@
 Subcommands::
 
     run       drive a flow scenario and write trajectory / SVG / diagnostics
-    check     quick self-test of the kernel invariants on built-in scenarios
     resample  resample a polyline file onto N equal-edge points
 
 Exit codes: 0 success, 1 usage or input error, 2 error or bound violation
@@ -15,21 +14,17 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from .diagnostics import (
     RESIDUAL_CSV_HEADER,
     RESIDUAL_MIN_POINTS,
-    fd_gradient_check,
     full_residual_report,
     self_intersections,
 )
-from .energy import EnergyParams, dissipation, energy, objective
+from .energy import EnergyParams
 from .errors import BoundViolation, CurveFlowError
 from .flow import FlowConfig, run_flow
 from .io import render_svg, write_phase_svgs, write_trajectory
-from .minimize import SolverOptions, minimize_step
-from .polyline import from_reduced, resample_equal_arclength, to_reduced, validate
+from .minimize import SolverOptions
 from .scenarios import PRESETS, Preset, Scenario, make_scenario
 
 
@@ -75,8 +70,6 @@ def build_parser() -> _Parser:
                        help="write per-step residual norms")
     run_p.add_argument("--grad-tol", type=float, default=SolverOptions.grad_tol,
                        help="inner solver stationarity tolerance (default %(default)g)")
-
-    sub.add_parser("check", help="run the built-in invariant self-test")
 
     rs_p = sub.add_parser("resample", help="equal-edge resampling of a polyline")
     rs_p.add_argument("--in", dest="infile", required=True)
@@ -163,73 +156,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    """Fast invariant sweep; prints one line per check."""
-    failures = 0
-
-    def report(label, ok, detail=""):
-        nonlocal failures
-        print(f"[{'PASS' if ok else 'FAIL'}] {label}" + (f" {detail}" if detail else ""))
-        failures += 0 if ok else 1
-
-    for name, preset in PRESETS.items():
-        curve = make_scenario(preset.scenario)
-        report(f"scenario {name} admissible", curve.is_admissible(),
-               f"N={curve.n} length={curve.total_length:.4f}")
-    gcurve = make_scenario(PRESETS["gamma"].scenario)
-    report("gamma has exactly one crossing", self_intersections(gcurve) == 1)
-
-    rng = np.random.default_rng(7)
-    params = EnergyParams(epsilon=0.05, tau=0.1)
-    worst = 0.0
-    for _ in range(10):
-        n = int(rng.integers(5, 30))
-        headings = np.cumsum(rng.uniform(-0.6, 0.6, n - 1))
-        prev = from_reduced(
-            to_reduced(
-                validate(
-                    np.column_stack(
-                        [np.cumsum(np.cos(headings)), np.cumsum(np.sin(headings))]
-                    )
-                    * 0.1
-                )
-            )
-        )
-        rc = to_reduced(prev)
-        worst = max(worst, fd_gradient_check(rc, prev, params))
-    report("analytic gradient matches finite differences", worst < 1e-6,
-           f"max rel err {worst:.2e}")
-
-    seg = make_scenario(Scenario(kind="segment", n=21, length=2.0))
-    stepped, rep = minimize_step(seg, EnergyParams(epsilon=0.01, tau=0.05))
-    report("segment step descends", rep.f_final <= rep.f_initial,
-           f"F {rep.f_initial:.6f} -> {rep.f_final:.6f}")
-    report("segment step shortens toward unit length",
-           1.0 < stepped.total_length < 2.0,
-           f"length {stepped.total_length:.6f}")
-    d_self = dissipation(seg, seg)
-    report("dissipation(c, c) == 0", d_self == 0.0)
-    obj_id = objective(to_reduced(seg), seg, EnergyParams(epsilon=0.01, tau=0.05))
-    e_id = energy(seg, EnergyParams(epsilon=0.01, tau=0.05)).total
-    report("objective at prev equals E(prev)", abs(obj_id - e_id) < 1e-12 * (1 + abs(e_id)))
-
-    cfg = FlowConfig(params=EnergyParams(epsilon=0.01, tau=0.05), n_steps=40)
-    traj = run_flow(seg, cfg)
-    mono = all(
-        traj.energies[k + 1] <= traj.energies[k] + 1e-10 * (1 + abs(traj.energies[0]))
-        for k in range(len(traj.energies) - 1)
-    )
-    report("flow energy is non-increasing", mono)
-    report("summed dissipation below initial energy",
-           sum(traj.diss_over_tau) <= traj.energies[0] + 1e-8)
-
-    print(f"{'OK' if failures == 0 else f'{failures} check(s) failed'}")
-    return 0 if failures == 0 else 2
-
-
 def cmd_resample(args) -> int:
-    pts = np.loadtxt(args.infile, dtype=float, ndmin=2)
-    curve = resample_equal_arclength(pts, args.n)
+    curve = make_scenario(Scenario(kind="file", n=args.n, path=args.infile))
     lines = [f"{format(p[0], '.17g')} {format(p[1], '.17g')}" for p in curve.points]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -246,11 +174,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command is None:
-            raise UsageError("missing subcommand (run, check, resample)")
+            raise UsageError("missing subcommand (run, resample)")
         if args.command == "run":
             return cmd_run(args)
-        if args.command == "check":
-            return cmd_check(args)
         return cmd_resample(args)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -46,8 +46,8 @@ from .polyline import (
     GAP_FLOOR,
     DiscreteCurve,
     ReducedCoords,
+    discrete_curvature,
     edge_frame,
-    measures,
 )
 
 
@@ -84,9 +84,11 @@ def energy(curve: DiscreteCurve, params: EnergyParams) -> EnergyBreakdown:
     gap = curve.gap
     if gap <= 0.0:
         raise DegenerateGap("endpoint gap vanishes; -log gap undefined")
-    m = measures(curve)
-    length_term = m.total_length
-    bending_term = 0.5 * params.epsilon * curve.edge_len * m.bending_sum
+    bend = 0.0
+    if curve.n >= 3:
+        bend = float(np.sum(discrete_curvature(curve) ** 2))
+    length_term = curve.total_length
+    bending_term = 0.5 * params.epsilon * curve.edge_len * bend
     coulomb_term = -float(np.log(gap))
     return EnergyBreakdown(
         length_term=length_term,

@@ -4,9 +4,10 @@
 scalars, and enforces the scheme's structural bounds as runtime assertions:
 the energy chain E(x_{n+1}) <= F(x_{n+1}, x_n) <= E(x_n), the summed
 dissipation bound sum_n D/tau <= E(x_0), the length bound (N-1)l <= 2(E_0+1),
-the bending bound (eps*l/2) sum kappa^2 <= E_0+1, a positive endpoint gap,
-and the tangent-cone condition <tau_i, tau~_i> >= 0 between consecutive
-curves. Any violation raises BoundViolation with the offending numbers.
+the bending bound (eps*l/2) sum kappa^2 <= E_0+1, an endpoint gap above
+GAP_FLOOR, and the tangent-cone condition <tau_i, tau~_i> >= 0 between
+consecutive curves. Any violation raises BoundViolation with the offending
+numbers.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ import numpy as np
 from .energy import EnergyParams, dissipation, energy
 from .errors import BoundViolation, MismatchedN
 from .minimize import SolverOptions, StepReport, minimize_step
-from .polyline import GAP_FLOOR, DiscreteCurve
+from .polyline import DiscreteCurve
 
 ENERGY_SLACK = 1e-10
 DISSIPATION_SLACK = 1e-8
@@ -66,11 +67,6 @@ class Trajectory:
     reports: list[StepReport] = field(default_factory=list)
 
     @property
-    def times(self) -> np.ndarray:
-        """Physical times of the recorded snapshots."""
-        return self.tau * np.asarray(self.snapshot_steps, dtype=float)
-
-    @property
     def n_steps(self) -> int:
         return len(self.reports)
 
@@ -105,8 +101,8 @@ def _check_bounds(step, e_prev, breakdown, next_curve, prev, e0, diss_sum):
             "tangent cone condition violated (tau too large?)", step, details)
     if e_next > e_prev + ENERGY_SLACK * (1.0 + abs(e0)):
         raise BoundViolation("energy increased", step, details)
-    if next_curve.gap < GAP_FLOOR:
-        raise BoundViolation("endpoint gap below floor", step, details)
+    if not next_curve.is_admissible():
+        raise BoundViolation("endpoint gap at or below floor", step, details)
     if next_curve.total_length > 2.0 * (e0 + 1.0):
         raise BoundViolation("length bound exceeded", step, details)
     if breakdown.bending_term > e0 + 1.0:

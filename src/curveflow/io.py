@@ -148,8 +148,6 @@ def write_phase_svgs(traj: Trajectory, out_dir: str, basename: str,
         sub.snapshot_steps = traj.snapshot_steps[
             cuts[ph] : max(cuts[ph + 1], cuts[ph] + 1)
         ]
-        if not sub.snapshots:
-            continue
         p = os.path.join(out_dir, f"{basename}_phase{ph + 1}.svg")
         render_svg(sub, p, stride=stride)
         paths.append(p)

@@ -3,12 +3,11 @@
 A discrete open curve is an ordered list of N planar points whose edges all
 have the same length l. This module provides validation, the bijection to
 constraint-free reduced coordinates (base point, edge length, edge headings),
-turning angles, signed discrete curvature, scalar measures, and resampling of
-arbitrary polylines onto the equal-edge manifold.
+turning angles, signed discrete curvature, and resampling of arbitrary
+polylines onto the equal-edge manifold.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -159,7 +158,7 @@ def validate(points) -> DiscreteCurve:
     The common edge length is the mean edge length, which every edge must
     match as DiscreteCurve requires. Raises TooFewPoints, ZeroEdgeLength,
     UnequalEdges, or DegenerateGap (endpoints at most GAP_FLOOR apart are not
-    admissible).
+    admissible), checking the edges before the gap.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -170,12 +169,12 @@ def validate(points) -> DiscreteCurve:
     mean = float(np.mean(lens))
     if mean <= 0.0:
         raise ZeroEdgeLength("all edges have zero length")
-    gap = float(np.linalg.norm(pts[-1] - pts[0]))
-    if gap <= GAP_FLOOR:
+    curve = DiscreteCurve(points=pts, edge_len=mean)
+    if not curve.is_admissible():
         raise DegenerateGap(
-            f"endpoint gap {gap:.3e} is at or below the floor {GAP_FLOOR:g}"
+            f"endpoint gap {curve.gap:.3e} is at or below the floor {GAP_FLOOR:g}"
         )
-    return DiscreteCurve(points=pts, edge_len=mean)
+    return curve
 
 
 def edge_frame(curve: DiscreteCurve) -> EdgeFrame:
@@ -204,20 +203,14 @@ def to_reduced(curve: DiscreteCurve) -> ReducedCoords:
 
 
 def from_reduced(rc: ReducedCoords) -> DiscreteCurve:
-    """Rebuild the point list from reduced coordinates (exactly equal edges)."""
-    pts = positions_from_reduced(rc.base, rc.edge_len, rc.headings)
+    """Rebuild the point list from reduced coordinates (exactly equal edges)
+    by a cumulative sum of the edge vectors from the base point."""
+    u = np.column_stack([np.cos(rc.headings), np.sin(rc.headings)])
+    pts = np.empty((rc.n, 2))
+    pts[0] = rc.base
+    np.cumsum(rc.edge_len * u, axis=0, out=pts[1:])
+    pts[1:] += rc.base
     return DiscreteCurve(points=pts, edge_len=rc.edge_len)
-
-
-def positions_from_reduced(base, edge_len, headings) -> np.ndarray:
-    """Cumulative-sum reconstruction of vertex positions; shape (N, 2)."""
-    headings = np.asarray(headings, dtype=float)
-    u = np.column_stack([np.cos(headings), np.sin(headings)])
-    pts = np.empty((headings.size + 1, 2))
-    pts[0] = base
-    np.cumsum(edge_len * u, axis=0, out=pts[1:])
-    pts[1:] += base
-    return pts
 
 
 def turning_angles(curve: DiscreteCurve) -> np.ndarray:
@@ -249,20 +242,6 @@ def discrete_curvature(curve: DiscreteCurve) -> np.ndarray:
     if np.any(denom < CUSP_TOL):
         raise CuspAngle("anti-parallel consecutive edges (turning angle ~ pi)")
     return (2.0 / curve.edge_len) * cross2(t[:-1], t[1:]) / denom
-
-
-class Measures(NamedTuple):
-    total_length: float
-    gap: float
-    bending_sum: float
-
-
-def measures(curve: DiscreteCurve) -> Measures:
-    """Total polygonal length, endpoint gap, and sum of squared curvatures."""
-    bend = 0.0
-    if curve.n >= 3:
-        bend = float(np.sum(discrete_curvature(curve) ** 2))
-    return Measures(total_length=curve.total_length, gap=curve.gap, bending_sum=bend)
 
 
 def _polyline_cumlen(pts: np.ndarray) -> np.ndarray:

@@ -4,17 +4,20 @@ import pytest
 import curveflow.flow
 from curveflow import (
     BoundViolation,
+    DiscreteCurve,
     EnergyParams,
     FlowConfig,
     IndexOutOfRange,
     Scenario,
     SolverOptions,
     coupling_residual,
+    energy,
     make_scenario,
     run_flow,
     validate,
     velocity,
 )
+from curveflow.polyline import GAP_FLOOR
 
 from oracles import segment_flow_oracle
 
@@ -98,6 +101,18 @@ def test_cone_violation_carries_bound_details(monkeypatch):
     assert details["gap"] == pytest.approx(seg.gap)
     assert details["length"] == pytest.approx(seg.total_length)
     assert details["sum_D_over_tau"] > 0.0
+
+
+def test_gap_at_floor_is_a_bound_violation():
+    # The flow's gap bound rejects exactly the curves is_admissible rejects:
+    # a gap equal to GAP_FLOOR is not admissible.
+    curve = DiscreteCurve([(0, 0), (GAP_FLOOR, 0)], edge_len=GAP_FLOOR)
+    assert curve.gap == GAP_FLOOR
+    assert not curve.is_admissible()
+    breakdown = energy(curve, EnergyParams(epsilon=0.01, tau=0.05))
+    e = breakdown.total
+    with pytest.raises(BoundViolation, match="endpoint gap"):
+        curveflow.flow._check_bounds(1, e, breakdown, curve, curve, e, 0.0)
 
 
 def test_velocity_stationary_and_reconstruction(segment_traj):

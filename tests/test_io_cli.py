@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -180,8 +181,9 @@ def test_cli_unknown_flag_is_usage_error():
     assert main(["run", "--bogus"]) == 1
 
 
-def test_cli_missing_subcommand():
+def test_cli_missing_subcommand(capsys):
     assert main([]) == 1
+    assert "missing subcommand (run, resample)" in capsys.readouterr().err
 
 
 def test_cli_resample(tmp_path):
@@ -362,6 +364,16 @@ def test_readme_commands_parse():
         parser.parse_args(argv[1:])
 
 
+def test_readme_kernel_pieces_are_public_api():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("The kernel pieces are importable on their own:", 1)[1]
+    names = re.findall(r"`(\w+)`", sentence.split(".", 1)[0])
+    assert len(names) >= 10
+    assert set(names) <= set(curveflow.__all__)
+    for name in curveflow.__all__:
+        assert hasattr(curveflow, name), name
+
+
 def test_grad_tol_flag_defaults_to_solver_options():
     args = curveflow.cli.build_parser().parse_args(["run", "--scenario", "segment"])
     assert args.grad_tol == SolverOptions().grad_tol
@@ -377,8 +389,22 @@ def test_cli_file_scenario_needs_step_cap(tmp_path):
     assert code == 1
 
 
-def test_cli_check_passes():
-    assert main(["check"]) == 0
+def test_cli_check_is_not_a_subcommand(capsys):
+    assert main(["check"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("usage: curveflow")
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--scenario", "file", "--steps", "1"],
+    ["resample"],
+])
+def test_cli_one_column_polyline_file_exits_one(tmp_path, command):
+    src = tmp_path / "in.txt"
+    np.savetxt(src, np.linspace(0, 3, 50))
+    out = tmp_path / "out"
+    code = main([*command, "--in", str(src), "--n", "7", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
 
 
 def test_cli_resample_empty_input_is_usage_error(tmp_path):

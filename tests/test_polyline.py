@@ -10,7 +10,6 @@ from curveflow import (
     UnequalEdges,
     discrete_curvature,
     from_reduced,
-    measures,
     resample_equal_arclength,
     to_reduced,
     turning_angles,
@@ -168,21 +167,6 @@ def test_curvature_matches_turning_angle_identity():
         assert np.max(
             np.abs(np.abs(kap) * c.edge_len - 2 * np.tan(alpha / 2))
         ) < 5e-12
-
-
-def test_measures_unit_segment():
-    pts = np.column_stack([np.linspace(0, 1, 11), np.zeros(11)])
-    m = measures(validate(pts))
-    assert m.total_length == pytest.approx(1.0)
-    assert m.gap == pytest.approx(1.0)
-    assert m.bending_sum == 0.0
-
-
-def test_measures_l_shape():
-    m = measures(validate([(0, 0), (1, 0), (1, 1)]))
-    assert m.total_length == pytest.approx(2.0)
-    assert m.gap == pytest.approx(np.sqrt(2.0))
-    assert m.bending_sum == pytest.approx(4.0)
 
 
 def test_gap_bounded_by_length_property():
