@@ -37,10 +37,8 @@ from .io import read_trajectory_jsonl, render_svg, write_trajectory
 from .minimize import SolverOptions, StepReport, minimize_step
 from .polyline import (
     DiscreteCurve,
-    EdgeFrame,
     ReducedCoords,
     discrete_curvature,
-    edge_frame,
     from_reduced,
     resample_equal_arclength,
     to_reduced,
@@ -58,7 +56,6 @@ __all__ = [
     "CuspAngle",
     "DegenerateGap",
     "DiscreteCurve",
-    "EdgeFrame",
     "EnergyBreakdown",
     "EnergyParams",
     "FlowConfig",
@@ -81,7 +78,6 @@ __all__ = [
     "coupling_residual",
     "discrete_curvature",
     "dissipation",
-    "edge_frame",
     "energy",
     "fd_gradient_check",
     "from_reduced",

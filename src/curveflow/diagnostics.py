@@ -24,10 +24,13 @@ import numpy as np
 from .energy import EnergyParams, PrevFrame, _objective_raw
 from .errors import IndexOutOfRange, TooFewPoints
 from .flow import Trajectory
-from .polyline import DiscreteCurve, ReducedCoords, discrete_curvature, edge_frame, rot90
+from .polyline import DiscreteCurve, ReducedCoords, discrete_curvature, rot90
 
 # The residual stencils reach two vertices in from each end.
 RESIDUAL_MIN_POINTS = 5
+
+# Central-difference step of fd_gradient_check.
+_FD_STEP = 1e-6
 
 # Edges tested at once against every other edge by crossing_pairs.
 _CROSSING_ROWS = 16
@@ -82,12 +85,13 @@ class CouplingResidual(NamedTuple):
 
 
 def fd_gradient_check(rc: ReducedCoords, prev: DiscreteCurve,
-                      params: EnergyParams, h: float = 1e-6) -> float:
+                      params: EnergyParams) -> float:
     """Max relative mismatch of the analytic objective gradient vs central
-    finite differences (absolute comparison below 1e-8 magnitude).
+    finite differences of step _FD_STEP (absolute comparison below 1e-8
+    magnitude).
 
     The configuration must sit inside the feasible set with gap and cusp
-    margins well above h.
+    margins well above _FD_STEP.
     """
     frame = PrevFrame(prev)
     z0 = rc.as_vector()
@@ -96,11 +100,11 @@ def fd_gradient_check(rc: ReducedCoords, prev: DiscreteCurve,
     for k in range(z0.size):
         zp = z0.copy()
         zm = z0.copy()
-        zp[k] += h
-        zm[k] -= h
+        zp[k] += _FD_STEP
+        zm[k] -= _FD_STEP
         fp, _ = _objective_raw(zp, frame, params, False)
         fm, _ = _objective_raw(zm, frame, params, False)
-        fd = (fp - fm) / (2.0 * h)
+        fd = (fp - fm) / (2.0 * _FD_STEP)
         scale = max(abs(grad[k]), abs(fd))
         err = abs(fd - grad[k])
         if scale > 1e-8:
@@ -112,7 +116,7 @@ def fd_gradient_check(rc: ReducedCoords, prev: DiscreteCurve,
 def vertex_tangents(curve: DiscreteCurve) -> np.ndarray:
     """Unit vertex tangents: edge tangent at the ends, normalized bisector
     (sum of adjacent edge tangents) at interior vertices."""
-    t = edge_frame(curve).tangents
+    t = curve.tangents
     out = np.empty((curve.n, 2))
     out[0] = t[0]
     out[-1] = t[-1]

@@ -47,22 +47,22 @@ from .polyline import (
     DiscreteCurve,
     ReducedCoords,
     discrete_curvature,
-    edge_frame,
+    rot90,
 )
 
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Bending weight eps > 0 and time step tau > 0."""
+    """Bending weight eps and time step tau, both positive and finite."""
 
     epsilon: float
     tau: float
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not (self.tau > 0.0):
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not (0.0 < self.epsilon < np.inf):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not (0.0 < self.tau < np.inf):
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.tau > 1.0:
             warnings.warn(
                 f"tau={self.tau} > 1: the implicit step is still defined but "
@@ -104,7 +104,7 @@ class PrevFrame:
     def __init__(self, prev: DiscreteCurve):
         self.points = prev.points
         self.edge_len = prev.edge_len
-        self.normals = edge_frame(prev).normals
+        self.normals = rot90(prev.tangents)
         self.n = prev.n
 
 
@@ -133,9 +133,8 @@ def dissipation(curve: DiscreteCurve, prev: DiscreteCurve) -> float:
     """
     if curve.n != prev.n:
         raise MismatchedN(f"curve has N={curve.n}, prev has N={prev.n}")
-    normals = edge_frame(curve).normals
     d_val = _dissipation_terms(
-        curve.points, curve.edge_len, normals, PrevFrame(prev)
+        curve.points, curve.edge_len, rot90(curve.tangents), PrevFrame(prev)
     )[-1]
     return d_val
 

@@ -54,10 +54,10 @@ class DiscreteCurve:
     """N ordered planar points with equal edge lengths.
 
     ``points`` is an (N, 2) read-only array, ``edge_len`` the common edge
-    length l >= 0; every edge lies within EDGE_TOL_EXTERNAL*l/2 of l, so the
-    edge lengths spread by at most EDGE_TOL_EXTERNAL*l. The total polygonal
-    length is (N-1)*l. Instances are immutable values; all operations on them
-    are pure functions.
+    length l > 0 (ZeroEdgeLength otherwise); every edge lies within
+    EDGE_TOL_EXTERNAL*l/2 of l, so the edge lengths spread by at most
+    EDGE_TOL_EXTERNAL*l. The total polygonal length is (N-1)*l. Instances are
+    immutable values; all operations on them are pure functions.
     """
 
     points: np.ndarray
@@ -71,9 +71,11 @@ class DiscreteCurve:
             raise TooFewPoints(f"need at least 2 points, got {pts.shape[0]}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
+        if not (self.edge_len > 0.0):
+            raise ZeroEdgeLength(f"edge_len must be positive, got {self.edge_len}")
         lens = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        ref = max(float(self.edge_len), 1e-300)
-        if np.any(np.abs(lens - self.edge_len) > 0.5 * EDGE_TOL_EXTERNAL * ref):
+        tol = 0.5 * EDGE_TOL_EXTERNAL * self.edge_len
+        if np.any(np.abs(lens - self.edge_len) > tol):
             raise UnequalEdges(
                 f"edges deviate from edge_len={self.edge_len} by up to "
                 f"{np.max(np.abs(lens - self.edge_len)):.3e}"
@@ -98,6 +100,12 @@ class DiscreteCurve:
     @property
     def edges(self) -> np.ndarray:
         return np.diff(self.points, axis=0)
+
+    @property
+    def tangents(self) -> np.ndarray:
+        """Unit tangents of the N-1 edges; their CCW normals are rot90 of these."""
+        ev = self.edges
+        return ev / np.linalg.norm(ev, axis=1, keepdims=True)
 
     def is_admissible(self) -> bool:
         """True when the endpoints are strictly further apart than GAP_FLOOR."""
@@ -144,14 +152,6 @@ class ReducedCoords:
         return cls(base=z[:2], edge_len=float(z[2]), headings=z[3:])
 
 
-@dataclass(frozen=True)
-class EdgeFrame:
-    """Unit tangents and normals of the N-1 edges, with nu_i = R(tau_i)."""
-
-    tangents: np.ndarray
-    normals: np.ndarray
-
-
 def validate(points) -> DiscreteCurve:
     """Check an external point list and wrap it as a DiscreteCurve.
 
@@ -166,10 +166,7 @@ def validate(points) -> DiscreteCurve:
     if pts.shape[0] < 2:
         raise TooFewPoints(f"need at least 2 points, got {pts.shape[0]}")
     lens = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    mean = float(np.mean(lens))
-    if mean <= 0.0:
-        raise ZeroEdgeLength("all edges have zero length")
-    curve = DiscreteCurve(points=pts, edge_len=mean)
+    curve = DiscreteCurve(points=pts, edge_len=float(np.mean(lens)))
     if not curve.is_admissible():
         raise DegenerateGap(
             f"endpoint gap {curve.gap:.3e} is at or below the floor {GAP_FLOOR:g}"
@@ -177,24 +174,12 @@ def validate(points) -> DiscreteCurve:
     return curve
 
 
-def edge_frame(curve: DiscreteCurve) -> EdgeFrame:
-    """Per-edge unit tangents and their CCW normals."""
-    ev = curve.edges
-    tangents = ev / np.linalg.norm(ev, axis=1, keepdims=True)
-    frame = EdgeFrame(tangents=tangents, normals=rot90(tangents))
-    frame.tangents.setflags(write=False)
-    frame.normals.setflags(write=False)
-    return frame
-
-
 def to_reduced(curve: DiscreteCurve) -> ReducedCoords:
     """Chart a curve as (base, edge length, unwrapped headings).
 
     Headings are atan2 of the edges, unwrapped so consecutive headings differ
-    by at most pi. Raises ZeroEdgeLength for degenerate curves.
+    by at most pi.
     """
-    if curve.edge_len <= 0.0:
-        raise ZeroEdgeLength("cannot chart a zero-edge-length curve")
     ev = curve.edges
     raw = np.arctan2(ev[:, 1], ev[:, 0])
     return ReducedCoords(
@@ -220,7 +205,7 @@ def turning_angles(curve: DiscreteCurve) -> np.ndarray:
     """
     if curve.n < 3:
         raise TooFewPoints("turning angles need N >= 3")
-    t = edge_frame(curve).tangents
+    t = curve.tangents
     dots = np.clip(np.sum(t[:-1] * t[1:], axis=1), -1.0, 1.0)
     return np.arccos(dots)
 
@@ -234,9 +219,7 @@ def discrete_curvature(curve: DiscreteCurve) -> np.ndarray:
     """
     if curve.n < 3:
         raise TooFewPoints("curvature needs N >= 3")
-    if curve.edge_len <= 0.0:
-        raise ZeroEdgeLength("curvature undefined for zero edge length")
-    t = edge_frame(curve).tangents
+    t = curve.tangents
     dots = np.sum(t[:-1] * t[1:], axis=1)
     denom = 1.0 + dots
     if np.any(denom < CUSP_TOL):

@@ -13,7 +13,7 @@ reference for the one-pass ``full_residual_report``.
 
 import numpy as np
 
-from curveflow.polyline import discrete_curvature, edge_frame, rot90
+from curveflow.polyline import discrete_curvature, rot90
 
 
 def segment_step_oracle(length_prev: float, tau: float) -> float:
@@ -154,7 +154,7 @@ def crossing_pairs_by_rows(points: np.ndarray, orient) -> list:
 
 
 def _vertex_tangents(curve) -> np.ndarray:
-    t = edge_frame(curve).tangents
+    t = curve.tangents
     out = np.empty((curve.n, 2))
     out[0] = t[0]
     out[-1] = t[-1]

@@ -48,7 +48,7 @@ def _timed_flow(initial, cfg):
 
 @pytest.fixture(scope="module")
 def segment_run():
-    initial = make_scenario(Scenario(kind="segment", n=51, length=2.0))
+    initial = make_scenario(Scenario(kind="segment", n=51))
     cfg = FlowConfig(
         params=EnergyParams(epsilon=0.01, tau=0.05),
         n_steps=20000,
@@ -308,7 +308,7 @@ def test_criterion_9_equivariance_and_determinism(segment_run):
         stop_tol=1e-7,
         solver=RUN_OPTS,
     )
-    traj_rep = run_flow(make_scenario(Scenario(kind="segment", n=51, length=2.0)),
+    traj_rep = run_flow(make_scenario(Scenario(kind="segment", n=51)),
                         cfg_seg)
     identical = len(traj_rep.snapshots) == len(traj_ref.snapshots) and all(
         np.array_equal(a.points, b.points)

@@ -34,6 +34,11 @@ def test_params_validation():
         EnergyParams(epsilon=0.0, tau=0.1)
     with pytest.raises(ValueError):
         EnergyParams(epsilon=0.1, tau=-1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            EnergyParams(epsilon=bad, tau=0.1)
+        with pytest.raises(ValueError):
+            EnergyParams(epsilon=0.1, tau=bad)
     with pytest.warns(UserWarning):
         EnergyParams(epsilon=0.1, tau=1.5)
 

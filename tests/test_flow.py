@@ -115,6 +115,32 @@ def test_gap_at_floor_is_a_bound_violation():
         curveflow.flow._check_bounds(1, e, breakdown, curve, curve, e, 0.0)
 
 
+@pytest.mark.parametrize("case, message", [
+    ("energy", "energy increased"),
+    ("length", "length bound exceeded"),
+    ("bending", "bending bound exceeded"),
+    ("dissipation", "summed dissipation exceeds E0"),
+])
+def test_each_runtime_bound_is_a_bound_violation(case, message):
+    # A quarter circle with a large bending weight, so that its bending term
+    # exceeds half its length; each case sets E_prev, E0 and sum D/tau so
+    # that exactly its bound fails, and the bounds checked before it hold.
+    angles = np.linspace(0.0, 0.5 * np.pi, 11)
+    curve = validate(np.column_stack([np.cos(angles), np.sin(angles)]))
+    breakdown = energy(curve, EnergyParams(epsilon=2.0, tau=0.05))
+    e, length, bend = breakdown.total, curve.total_length, breakdown.bending_term
+    assert 0.5 * length < bend < e
+    e_prev, e0, diss_sum = {
+        "energy": (e - 1.0, e, 0.0),
+        "length": (e, 0.5 * length - 1.0 - 1e-6, 0.0),
+        "bending": (e, 0.5 * (0.5 * length + bend) - 1.0, 0.0),
+        "dissipation": (e, e, e + 1.0),
+    }[case]
+    with pytest.raises(BoundViolation, match=message) as exc:
+        curveflow.flow._check_bounds(7, e_prev, breakdown, curve, curve, e0, diss_sum)
+    assert exc.value.step == 7
+
+
 def test_velocity_stationary_and_reconstruction(segment_traj):
     traj = segment_traj
     vel = velocity(traj, 0)

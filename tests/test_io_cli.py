@@ -12,6 +12,7 @@ import pytest
 import curveflow.cli
 from curveflow import (
     BadParameters,
+    BoundViolation,
     CuspAngle,
     EnergyParams,
     FlowConfig,
@@ -48,7 +49,7 @@ def test_scenarios_all_valid_and_admissible():
 
 
 def test_scenario_segment_exact():
-    c = make_scenario(Scenario(kind="segment", n=3, length=2.0))
+    c = make_scenario(Scenario(kind="segment", n=3))
     assert np.allclose(c.points, [(0, 0), (1, 0), (2, 0)])
 
 
@@ -295,15 +296,25 @@ def test_cli_two_scenarios(tmp_path):
     assert (tmp_path / "sinus.jsonl").exists()
 
 
-def test_cli_flow_error_exits_two(tmp_path, monkeypatch, capsys):
-    def cusp(*args, **kwargs):
-        raise CuspAngle("anti-parallel edges")
+@pytest.mark.parametrize("error, message", [
+    (CuspAngle("anti-parallel edges"), "anti-parallel edges"),
+    (BoundViolation("energy increased", 3, {}), "bound violation"),
+    (None, "io error"),  # --out names an existing regular file
+], ids=["cusp", "bound_violation", "io_error"])
+def test_cli_flow_error_exits_two(tmp_path, monkeypatch, capsys, error, message):
+    def fail(*args, **kwargs):
+        raise error
 
-    monkeypatch.setattr(curveflow.cli, "run_flow", cusp)
-    code = main(["run", "--scenario", "segment", "--out", str(tmp_path)])
+    out = tmp_path
+    if error is None:
+        out = tmp_path / "taken"
+        out.write_text("")
+    else:
+        monkeypatch.setattr(curveflow.cli, "run_flow", fail)
+    code = main(["run", "--scenario", "segment", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "anti-parallel edges" in err
+    assert message in err
     assert "usage" not in err.lower()
 
 
@@ -350,6 +361,23 @@ def test_cli_file_with_degenerate_gap_exits_one(tmp_path):
         "--steps", "3", "--out", str(out),
     ])
     assert code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--eps", "--tau"])
+def test_cli_non_finite_parameter_exits_one(tmp_path, flag):
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "segment", "--steps", "3", "--out", str(out),
+                 flag, "inf"])
+    assert code == 1
+    assert not out.exists()
+
+
+def test_cli_resample_coincident_points_exits_one(tmp_path):
+    src = tmp_path / "in.txt"
+    np.savetxt(src, [(1.0, 2.0)] * 4)
+    out = tmp_path / "out.txt"
+    assert main(["resample", "--in", str(src), "--n", "5", "--out", str(out)]) == 1
     assert not out.exists()
 
 

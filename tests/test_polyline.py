@@ -8,6 +8,8 @@ from curveflow import (
     ReducedCoords,
     TooFewPoints,
     UnequalEdges,
+    ZeroEdgeLength,
+    ZeroLengthInput,
     discrete_curvature,
     from_reduced,
     resample_equal_arclength,
@@ -43,6 +45,21 @@ def test_validate_rejects_gap_at_floor():
     edge_len = float(np.hypot(0.5e-9, 1.0))
     assert not DiscreteCurve(points=pts, edge_len=edge_len).is_admissible()
     assert validate([(0.0, 0.0), (0.5e-7, 1.0), (1e-7, 0.0)]).is_admissible()
+
+
+def test_curve_rejects_zero_edge_length():
+    with pytest.raises(ZeroEdgeLength):
+        DiscreteCurve(points=[(0, 0), (0, 0)], edge_len=0.0)
+
+
+def test_validate_rejects_coincident_points():
+    with pytest.raises(ZeroEdgeLength):
+        validate([(1, 2), (1, 2), (1, 2)])
+
+
+def test_resample_rejects_zero_length_input():
+    with pytest.raises(ZeroLengthInput):
+        resample_equal_arclength([(1, 2), (1, 2), (1, 2)], 5)
 
 
 def test_validate_rejects_single_point():
