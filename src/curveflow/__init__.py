@@ -28,6 +28,7 @@ from .diagnostics import (
     VelocityField,
     coupling_residual,
     fd_gradient_check,
+    fd_hessian_check,
     full_residual_report,
     loop_diameter,
     self_intersections,
@@ -80,6 +81,7 @@ __all__ = [
     "dissipation",
     "energy",
     "fd_gradient_check",
+    "fd_hessian_check",
     "from_reduced",
     "full_residual_report",
     "loop_diameter",

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import EnergyParams, PrevFrame, _objective_raw
+from .energy import EnergyParams, PrevFrame, _objective_hessian, _objective_raw
 from .errors import IndexOutOfRange, TooFewPoints
 from .flow import Trajectory
 from .polyline import DiscreteCurve, ReducedCoords, discrete_curvature, rot90
@@ -29,7 +29,7 @@ from .polyline import DiscreteCurve, ReducedCoords, discrete_curvature, rot90
 # The residual stencils reach two vertices in from each end.
 RESIDUAL_MIN_POINTS = 5
 
-# Central-difference step of fd_gradient_check.
+# Central-difference step of fd_gradient_check and fd_hessian_check.
 _FD_STEP = 1e-6
 
 # Edges tested at once against every other edge by crossing_pairs.
@@ -107,6 +107,39 @@ def fd_gradient_check(rc: ReducedCoords, prev: DiscreteCurve,
         fd = (fp - fm) / (2.0 * _FD_STEP)
         scale = max(abs(grad[k]), abs(fd))
         err = abs(fd - grad[k])
+        if scale > 1e-8:
+            err /= scale
+        worst = max(worst, err)
+    return worst
+
+
+def fd_hessian_check(rc: ReducedCoords, prev: DiscreteCurve,
+                     params: EnergyParams) -> float:
+    """Max relative mismatch of the analytic Hessian, column by column from
+    its generators, vs central finite differences of step _FD_STEP of the
+    analytic gradient. Each column is compared relative to its largest entry
+    (absolute comparison below 1e-8 magnitude).
+
+    The configuration must sit inside the feasible set with gap and cusp
+    margins well above _FD_STEP.
+    """
+    frame = PrevFrame(prev)
+    z0 = rc.as_vector()
+    hess = _objective_hessian(z0, frame, params)
+    worst = 0.0
+    for k in range(z0.size):
+        unit = np.zeros_like(z0)
+        unit[k] = 1.0
+        column = hess.matvec(unit)
+        zp = z0.copy()
+        zm = z0.copy()
+        zp[k] += _FD_STEP
+        zm[k] -= _FD_STEP
+        _, gp = _objective_raw(zp, frame, params, True)
+        _, gm = _objective_raw(zm, frame, params, True)
+        fd = (gp - gm) / (2.0 * _FD_STEP)
+        scale = max(float(np.max(np.abs(column))), float(np.max(np.abs(fd))))
+        err = float(np.max(np.abs(fd - column)))
         if scale > 1e-8:
             err /= scale
         worst = max(worst, err)

@@ -33,10 +33,15 @@ Gradients with respect to the reduced coordinates (base, l, theta_1..theta_{N-1}
 are exact: energy terms are differentiated in the chart directly, dissipation
 through the positions by the chain rule
     dx_i/d base = Id,   dx_i/dl = sum_{j<i} u_j,   dx_i/d theta_j = l*R(u_j) [j<i].
+
+So is the Hessian (ChartHessian): over the headings it is tridiagonal plus a
+rank-2 semiseparable part, built from O(N) generators, and newton_direction
+solves with it in O(N) by block cyclic reduction.
 """
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,3 +244,211 @@ def objective_gradient(rc: ReducedCoords, prev: DiscreteCurve,
         raise MismatchedN(f"candidate has N={rc.n}, prev has N={prev.n}")
     _, grad = _objective_raw(rc.as_vector(), PrevFrame(prev), params, True)
     return grad
+
+
+def _suffix_after(a: np.ndarray) -> np.ndarray:
+    """out[j] = sum_{e>j} a[e] along the first axis."""
+    out = np.zeros_like(a)
+    out[:-1] = np.cumsum(a[:0:-1], axis=0)[::-1]
+    return out
+
+
+class ChartHessian(NamedTuple):
+    """Exact Hessian of F in chart coordinates z = (bx, by, l, theta), kept as
+    O(N) generators. Over the headings (m = N-1 of them) it is
+
+        H[j, j] = diag[j],   H[j, j+1] = off[j] + p[j].v[j+1],
+        H[j, k] = p[j].v[k]  for j < k (symmetric below),
+
+    a tridiagonal part (bending) plus a rank-2 semiseparable part (D, the
+    endpoint terms and the Coulomb term); ``border[j]`` holds the entries of
+    (bx, by, l) against theta_j and ``corner`` the 3x3 (bx, by, l) block.
+    """
+
+    diag: np.ndarray    # (m,)
+    off: np.ndarray     # (m-1,)
+    p: np.ndarray       # (m, 2)
+    v: np.ndarray       # (m, 2)
+    border: np.ndarray  # (m, 3)
+    corner: np.ndarray  # (3, 3)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """H @ x in O(N), through prefix and suffix sums of the generators."""
+        xb, xt = x[:3], x[3:]
+        px = self.p * xt[:, None]
+        vx = self.v * xt[:, None]
+        s = np.cumsum(px, axis=0) - px  # sum_{k<j} p_k x_k
+        t = _suffix_after(vx)           # sum_{k>j} v_k x_k
+        out = np.empty_like(x)
+        ht = self.diag * xt + (self.p * t + self.v * s).sum(axis=1)
+        ht[:-1] += self.off * xt[1:]
+        ht[1:] += self.off * xt[:-1]
+        out[3:] = ht + self.border @ xb
+        out[:3] = self.corner @ xb + (self.border * xt[:, None]).sum(axis=0)
+        return out
+
+
+def _objective_hessian(z: np.ndarray, prev: PrevFrame,
+                       params: EnergyParams) -> ChartHessian:
+    """Generators of the exact Hessian of F at a feasible z (see ChartHessian).
+
+    Every term is a function of the points x(z), of l or of one heading, with
+    dx_i/dtheta_j = l*p_j, d2x_i/dtheta_j^2 = -l*u_j and
+    d2x_i/dl dtheta_j = p_j for j < i. The midpoint of edge e takes half of
+    its own heading's motion, which is where the halves below come from.
+    Symmetric 2x2 matrices are stored as their (xx, xy, yy) entries.
+    """
+    ell = float(z[2])
+    n = prev.n
+    theta = z[3:]
+    tau = params.tau
+    u = np.column_stack([np.cos(theta), np.sin(theta)])
+    p = rot90(u)
+    csum = np.zeros((n, 2))
+    np.cumsum(u, axis=0, out=csum[1:])
+    x = z[:2] + ell * csum
+    d = x[-1] - x[0]
+    gap2 = float(d @ d)
+    dxp, mid, a, b, _ = _dissipation_terms(x, ell, p, prev)
+    nt = prev.normals
+    k_a = 0.5 * prev.edge_len / tau  # curvature of D/tau in a_e
+    k_b = 0.5 * ell / tau            # and in b_e
+
+    # Coulomb and the x_N endpoint term act through x_N - x_1 = l * sum u and
+    # x_N: their heading block is l^2 p_j^T m_end p_k, of rank 2.
+    m_end = (2.0 / gap2**2) * np.outer(d, d) + (1.0 / tau - 1.0 / gap2) * np.eye(2)
+    pull = dxp[-1] / tau - d / gap2
+    sum_u = csum[-1]
+
+    cm = csum[:-1] + 0.5 * u                  # d mid_e / dl
+    ncm = (nt * cm).sum(axis=1)
+    pcm = (p * cm).sum(axis=1)
+    beta = 0.5 * ell - (mid * u).sum(axis=1)  # d b_e / d theta_e
+    na = nt * (ell * ncm + a)[:, None]
+    nn = np.column_stack([nt[:, 0] ** 2, nt[:, 0] * nt[:, 1], nt[:, 1] ** 2])
+    pp = np.column_stack([p[:, 0] ** 2, p[:, 0] * p[:, 1], p[:, 1] ** 2])
+    # Per-edge terms whose sums over e > j enter heading j, and those sums.
+    per_edge = np.column_stack([
+        k_a * nn + k_b * pp,                                  # grad a_e, b_e squared
+        k_a * a[:, None] * nt + k_b * b[:, None] * p,         # a_e, b_e times their normals
+        k_a * na + k_b * p * (ell * pcm + 2.0 * b)[:, None],  # l-heading terms
+    ])
+    after = _suffix_after(per_edge)
+    q = after[:, :3] + (0.5 * k_a) * nn   # sum_e w_ej (k_a n n^T + k_b p p^T)
+    qp = np.column_stack([q[:, 0] * p[:, 0] + q[:, 1] * p[:, 1],
+                          q[:, 1] * p[:, 0] + q[:, 2] * p[:, 1]])
+    side = k_b * (beta[:, None] * p - b[:, None] * u)
+    pm = p @ m_end
+
+    v = (ell * ell) * (pm + qp) + ell * side
+    np_ = (nt * p).sum(axis=1)
+    diag = (ell * ell) * ((pm * p).sum(axis=1) + (qp * p).sum(axis=1)
+                          - (0.25 * k_a) * np_ * np_)
+    diag -= ell * (u * (pull + after[:, 3:5] + (0.5 * k_a) * a[:, None] * nt)).sum(axis=1)
+    diag += k_b * (beta * beta - b * b)
+
+    border = np.empty((n - 1, 3))
+    border[:, :2] = ell * (p / tau + qp) + side
+    border[:, 2] = (p * (ell * (sum_u @ m_end) + pull + after[:, 5:]
+                         + (0.5 * k_a) * na)).sum(axis=1)
+    border[:, 2] += k_b * (pcm * beta + b * (0.5 - (cm * u).sum(axis=1))) + (0.5 / tau) * b * beta
+
+    corner = np.empty((3, 3))
+    w = per_edge[:, :3].sum(axis=0)
+    corner[:2, :2] = [[w[0], w[1]], [w[1], w[2]]]
+    corner[:2, :2] += (2.0 / tau) * np.eye(2)
+    corner[:2, 2] = corner[2, :2] = (
+        sum_u / tau + k_a * (nt * ncm[:, None]).sum(axis=0)
+        + (p * (k_b * pcm + (0.5 / tau) * b)[:, None]).sum(axis=0)
+    )
+    corner[2, 2] = (sum_u @ m_end @ sum_u + k_a * float(ncm @ ncm)
+                    + k_b * float(pcm @ pcm) + float(b @ pcm) / tau)
+
+    # Bending: (2 eps / l) * sum tan^2(delta_k / 2), delta_k = theta_{k+1} - theta_k.
+    c_bend = 2.0 * params.epsilon / ell
+    t_half = np.tan(0.5 * (theta[1:] - theta[:-1]))
+    t2 = t_half * t_half
+    h = 0.5 * c_bend * (1.0 + 3.0 * t2) * (1.0 + t2)
+    diag[:-1] += h
+    diag[1:] += h
+    w_l = (c_bend / ell) * t_half * (1.0 + t2)
+    border[:-1, 2] += w_l
+    border[1:, 2] -= w_l
+    corner[2, 2] += 2.0 * c_bend * float(t2.sum()) / (ell * ell)
+    return ChartHessian(diag, -h, p, v, border, corner)
+
+
+def block_tridiagonal_solve(lower, diag, upper, rhs):
+    """Solve a block-tridiagonal system by cyclic reduction (Heller 1976,
+    SIAM J. Numer. Anal. 13).
+
+    Block row j reads lower[j] x[j-1] + diag[j] x[j] + upper[j] x[j+1] = rhs[j]
+    (lower[0] and upper[-1] are ignored); the blocks are (n, s, s) and rhs is
+    (n, s, r). Each level eliminates the odd blocks with one batched s x s
+    inverse and recurses on the even ones, so no LAPACK call is larger than
+    one block. No pivoting across blocks: a singular block raises LinAlgError.
+    """
+    n, size = diag.shape[0], diag.shape[1]
+    if n == 1:
+        return np.linalg.solve(diag, rhs)
+    n_odd, k = n // 2, (n - 1) // 2
+    # Odd block i (row 2i+1) is x = e_f - e_lo x[2i] - e_up x[2i+2], with
+    # [e_lo | e_up | e_f] = diag^-1 [lower | upper | rhs] of that row.
+    elim = np.linalg.inv(diag[1::2]) @ np.concatenate(
+        [lower[1::2], upper[1::2], rhs[1::2]], axis=2)
+    e_lo, e_up, e_f = elim[:, :, :size], elim[:, :, size:2 * size], elim[:, :, 2 * size:]
+    lo, up = lower[0::2].copy(), upper[0::2].copy()
+    di, f = diag[0::2].copy(), rhs[0::2].copy()
+    left = lo[1:] @ elim[:k]       # even rows 2.. and their left odd neighbour
+    lo[1:] = -left[:, :, :size]
+    di[1:] -= left[:, :, size:2 * size]
+    f[1:] -= left[:, :, 2 * size:]
+    right = up[:n_odd] @ elim      # even rows with an odd right neighbour
+    di[:n_odd] -= right[:, :, :size]
+    up[:n_odd] = -right[:, :, size:2 * size]
+    f[:n_odd] -= right[:, :, 2 * size:]
+    x_even = block_tridiagonal_solve(lo, di, up, f)
+    x = np.empty_like(rhs)
+    x[0::2] = x_even
+    x[1::2] = e_f - e_lo @ x_even[:n_odd]
+    x[1:2 * k:2] -= e_up[:k] @ x_even[1:]
+    return x
+
+
+def newton_direction(hess: ChartHessian, g: np.ndarray) -> np.ndarray:
+    """The Newton direction -H^{-1} g from the generators in O(N).
+
+    With the prefix and suffix states s_j = sum_{k<j} p_k x_k and
+    t_j = sum_{k>j} v_k x_k, heading row j of H x reads
+    diag_j x_j + off terms + v_j.s_j + p_j.t_j, so the heading system becomes
+    block-tridiagonal in (x_j, s_j, t_j), 5x5 blocks. It is solved for g and
+    the three border columns at once; a 3x3 Schur complement then closes the
+    (bx, by, l) border. Raises LinAlgError on a singular block.
+    """
+    m = hess.diag.size
+    eye = np.eye(2)
+    diag = np.zeros((m, 5, 5))
+    diag[:, 0, 0] = hess.diag
+    diag[:, 0, 1:3] = hess.v
+    diag[:, 0, 3:5] = hess.p
+    diag[:, 1:3, 1:3] = eye
+    diag[:, 3:5, 3:5] = eye
+    lower = np.zeros((m, 5, 5))  # s_j - s_{j-1} - p_{j-1} x_{j-1} = 0
+    lower[1:, 0, 0] = hess.off
+    lower[1:, 1:3, 0] = -hess.p[:-1]
+    lower[1:, 1:3, 1:3] = -eye
+    upper = np.zeros((m, 5, 5))  # t_j - t_{j+1} - v_{j+1} x_{j+1} = 0
+    upper[:-1, 0, 0] = hess.off
+    upper[:-1, 3:5, 0] = -hess.v[1:]
+    upper[:-1, 3:5, 3:5] = -eye
+    rhs = np.zeros((m, 5, 4))
+    rhs[:, 0, 0] = g[3:]
+    rhs[:, 0, 1:] = hess.border
+    sol = block_tridiagonal_solve(lower, diag, upper, rhs)[:, 0, :]
+    x_g, x_b = sol[:, 0], sol[:, 1:]
+    schur = hess.corner - (hess.border[:, :, None] * x_b[:, None, :]).sum(axis=0)
+    y = np.linalg.solve(schur, g[:3] - (hess.border * x_g[:, None]).sum(axis=0))
+    d = np.empty_like(g)
+    d[:3] = -y
+    d[3:] = (x_b * y).sum(axis=1) - x_g
+    return d

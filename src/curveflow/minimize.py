@@ -3,9 +3,12 @@
 The equal-edge constraint is eliminated by the (base, l, headings) chart, so
 the step is an unconstrained smooth minimization on an open set: l > 0, the
 endpoint gap above a small floor (the log barrier keeps the region open), and
-no anti-parallel edge pairs. An L-BFGS iteration with Armijo backtracking is
-used, its history kept in compact form (see _History) and long enough to span
-a whole step; the objective rejects steps that leave the open set by raising,
+no anti-parallel edge pairs. Each step starts with an L-BFGS iteration, its
+history kept in compact form (see _History). Most steps converge within
+_NEWTON_AFTER iterations; a stiff one that has not finishes with exact Newton
+directions from the O(N) structured Hessian solve (energy.newton_direction),
+with a first trial of alpha = 1. Every direction goes through the same Armijo
+backtracking; the objective rejects steps that leave the open set by raising,
 and the line search halves such a step like any other failed trial.
 
 Near the tolerance the decrease Armijo asks for, -alpha*g.d, falls below the
@@ -21,7 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyParams, PrevFrame, _objective_raw
+from .energy import (
+    EnergyParams,
+    PrevFrame,
+    _objective_hessian,
+    _objective_raw,
+    newton_direction,
+)
 from .errors import CuspAngle, DegenerateGap, ZeroEdgeLength
 from .polyline import DiscreteCurve, ReducedCoords, from_reduced, to_reduced
 
@@ -36,10 +45,12 @@ _MAX_HALVINGS = 60
 # (~1e-16*|F|, with margin), where Armijo cannot tell improvement from noise.
 _FLOOR = 1e-12
 
-# L-BFGS history length (curvature pairs kept) and iteration cap per step.
-# The history spans most steps: the first 40 steps of the gamma preset take at
-# most 100 iterations each.
-_MEMORY = 100
+# A step still unconverged after this many L-BFGS iterations goes on with
+# Newton directions; so the L-BFGS history never holds more pairs than this.
+# Segment steps take at most 7 iterations, stiff gamma steps 45-135 L-BFGS ones.
+_NEWTON_AFTER = 10
+
+# Iteration cap per step.
 _MAX_ITERS = 2000
 
 
@@ -63,7 +74,8 @@ class StepReport:
     curvature pair held; with pairs held the solve drops them and goes on),
     ``"no_descent"`` (every backtracking trial was rejected) or ``"cap"``
     (the iteration cap). ``n_evals`` counts objective evaluations, the
-    initial one and trials outside the open set included.
+    initial one and trials outside the open set included. ``n_newton`` counts
+    the iterations that took a Newton direction.
     """
 
     iterations: int
@@ -72,17 +84,11 @@ class StepReport:
     f_initial: float
     f_final: float
     stop_reason: str
+    n_newton: int
 
     @property
     def converged(self) -> bool:
         return self.stop_reason == "converged"
-
-
-def _grown(a, shape):
-    """a copied into the leading corner of a zero array of the given shape."""
-    out = np.zeros(shape)
-    out[tuple(slice(k) for k in a.shape)] = a
-    return out
 
 
 class _History:
@@ -93,19 +99,18 @@ class _History:
     triangle of S Y^T; the Gram matrix Y Y^T; and D = diag(s_i . y_i). A
     direction costs seven matrix-vector products whatever the number of pairs,
     and applies the inverse-Hessian approximation of the two-loop recursion
-    with the initial scaling gamma = s.y / y.y of the newest pair. Storage
-    grows by doubling with the pairs held, up to _MEMORY pairs; from then on
-    each append drops the oldest pair.
+    with the initial scaling gamma = s.y / y.y of the newest pair. Room for
+    _NEWTON_AFTER pairs is allocated at once: a step appends at most one pair
+    per L-BFGS iteration.
     """
 
     def __init__(self, size: int):
         self.m = 0
-        cap = min(8, _MEMORY)
-        self.s = np.empty((cap, size))
-        self.y = np.empty((cap, size))
-        self.d = np.empty(cap)
-        self.rinv = np.zeros((cap, cap))
-        self.yy = np.empty((cap, cap))
+        self.s = np.empty((_NEWTON_AFTER, size))
+        self.y = np.empty((_NEWTON_AFTER, size))
+        self.d = np.empty(_NEWTON_AFTER)
+        self.rinv = np.zeros((_NEWTON_AFTER, _NEWTON_AFTER))
+        self.yy = np.empty((_NEWTON_AFTER, _NEWTON_AFTER))
 
     def __len__(self):
         return self.m
@@ -116,22 +121,6 @@ class _History:
     def append(self, s, y, sy):
         """Add the pair (s, y) with s.y = sy > 0."""
         m = self.m
-        if m == _MEMORY:
-            # R's trailing block is upper triangular, so its inverse is the
-            # trailing block of R^-1.
-            m -= 1
-            for a in (self.s, self.y, self.d):
-                a[:m] = a[1 : m + 1]
-            for a in (self.rinv, self.yy):
-                a[:m, :m] = a[1 : m + 1, 1 : m + 1]
-        elif m == len(self.d):
-            cap = min(2 * m, _MEMORY)
-            size = self.s.shape[1]
-            self.s = _grown(self.s, (cap, size))
-            self.y = _grown(self.y, (cap, size))
-            self.d = _grown(self.d, (cap,))
-            self.rinv = _grown(self.rinv, (cap, cap))
-            self.yy = _grown(self.yy, (cap, cap))
         # Border R^-1 = [[R0^-1, -R0^-1 r / sy], [0, 1 / sy]], r_i = s_i . y;
         # below the diagonal rinv stays zero.
         self.rinv[:m, m] = (self.rinv[:m, :m] @ (self.s[:m] @ y)) / -sy
@@ -184,6 +173,15 @@ def minimize_step(
         f, g = _objective_raw(scale * w, frame, params, True)
         return f, g * scale
 
+    def newton(w, g):
+        """The Newton direction in w (Newton is affine invariant, so it is
+        the chart direction over scale); NaN when a block is singular."""
+        try:
+            hess = _objective_hessian(scale * w, frame, params)
+            return newton_direction(hess, g / scale) / scale
+        except np.linalg.LinAlgError:
+            return np.full_like(g, np.nan)
+
     z0 = to_reduced(prev).as_vector()
     w = z0 / scale
     f, g = evaluate(w)
@@ -191,7 +189,7 @@ def minimize_step(
     n_evals = 1
 
     history = _History(n + 2)
-    iterations = 0
+    iterations = n_newton = 0
 
     while True:
         grad_z_inf = float(np.max(np.abs(g / scale)))
@@ -202,14 +200,22 @@ def minimize_step(
             stop_reason = "cap"
             break
 
-        d = history.direction(g)
+        newton_phase = iterations >= _NEWTON_AFTER
+        if newton_phase:
+            history.clear()
+            d = newton(w, g)
+        else:
+            d = history.direction(g)
         gd = float(g @ d)
+        took_newton = newton_phase
         if not np.isfinite(gd) or gd >= 0.0:
             d = -g
             gd = -float(g @ g)
             history.clear()
+            took_newton = False
 
-        alpha = 1.0 if history else min(1.0, 1.0 / float(np.linalg.norm(g)))
+        alpha = (1.0 if history or took_newton
+                 else min(1.0, 1.0 / float(np.linalg.norm(g))))
         for _ in range(_MAX_HALVINGS + 1):
             w_trial = w + alpha * d
             n_evals += 1
@@ -235,20 +241,23 @@ def minimize_step(
         s_vec = w_trial - w
         if not np.any(s_vec):
             # The step rounded away; restart from steepest descent unless the
-            # history is already empty. Each restart needs a pair stored since
-            # the last, so restarts are bounded by _MAX_ITERS.
+            # history is already empty (as it is in the Newton phase). Each
+            # restart needs a pair stored since the last, so restarts are
+            # bounded by _MAX_ITERS.
             if not history:
                 stop_reason = "zero_step"
                 break
             history.clear()
             continue
-        y_vec = g_trial - g
-        sy = float(s_vec @ y_vec)
-        if sy > 1e-12 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-            history.append(s_vec, y_vec, sy)
+        if not newton_phase:
+            y_vec = g_trial - g
+            sy = float(s_vec @ y_vec)
+            if sy > 1e-12 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
+                history.append(s_vec, y_vec, sy)
 
         w, f, g = w_trial, f_trial, g_trial
         iterations += 1
+        n_newton += took_newton
 
     report = StepReport(
         iterations=iterations,
@@ -257,6 +266,7 @@ def minimize_step(
         f_initial=f_initial,
         f_final=f,
         stop_reason=stop_reason,
+        n_newton=n_newton,
     )
     next_curve = from_reduced(ReducedCoords.from_vector(scale * w))
     return next_curve, report

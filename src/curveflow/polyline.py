@@ -54,10 +54,11 @@ class DiscreteCurve:
     """N ordered planar points with equal edge lengths.
 
     ``points`` is an (N, 2) read-only array, ``edge_len`` the common edge
-    length l > 0 (ZeroEdgeLength otherwise); every edge lies within
-    EDGE_TOL_EXTERNAL*l/2 of l, so the edge lengths spread by at most
-    EDGE_TOL_EXTERNAL*l. The total polygonal length is (N-1)*l. Instances are
-    immutable values; all operations on them are pure functions.
+    length l > 0 (ZeroEdgeLength otherwise) and finite (ValueError otherwise);
+    every edge lies within EDGE_TOL_EXTERNAL*l/2 of l, so the edge lengths
+    spread by at most EDGE_TOL_EXTERNAL*l. The total polygonal length is
+    (N-1)*l. Instances are immutable values; all operations on them are pure
+    functions.
     """
 
     points: np.ndarray
@@ -73,6 +74,8 @@ class DiscreteCurve:
             raise ValueError("points must be finite")
         if not (self.edge_len > 0.0):
             raise ZeroEdgeLength(f"edge_len must be positive, got {self.edge_len}")
+        if not np.isfinite(self.edge_len):
+            raise ValueError("edge_len must be finite")
         lens = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         tol = 0.5 * EDGE_TOL_EXTERNAL * self.edge_len
         if np.any(np.abs(lens - self.edge_len) > tol):

@@ -5,10 +5,12 @@ flow is a scalar root-finding recursion, intersections are brute-force pair
 checks, arclength is dense piecewise-linear quadrature, and derivative checks
 are plain central differences. The L-BFGS two-loop recursion and the
 crossing search over one edge at a time are the simple forms of the
-package's compact-form history and blocked crossing search. The residuals
-of one recorded step, computed in three independent parts that each
-re-evaluate the velocity, curvature and tangents they need, are the
-reference for the one-pass ``full_residual_report``.
+package's compact-form history and blocked crossing search. The dense
+Hessian, written out entry by entry from its generators, is the reference
+for the structured Newton solve. The residuals of one recorded step,
+computed in three independent parts that each re-evaluate the velocity,
+curvature and tangents they need, are the reference for the one-pass
+``full_residual_report``.
 """
 
 import numpy as np
@@ -128,6 +130,25 @@ def two_loop_direction(grad: np.ndarray, pairs) -> np.ndarray:
         b = float(y @ q) / float(s @ y)
         q += (a - b) * s
     return -q
+
+
+def dense_chart_hessian(hess) -> np.ndarray:
+    """The (N+2) x (N+2) chart Hessian written out entry by entry from the
+    generators of a ChartHessian: border rows (bx, by, l) first, then the
+    headings with H[j, k] = p_j . v_k (+ off_j on the first superdiagonal)
+    above the diagonal."""
+    m = hess.diag.size
+    dense = np.zeros((m + 3, m + 3))
+    dense[:3, :3] = hess.corner
+    for j in range(m):
+        dense[3 + j, :3] = dense[:3, 3 + j] = hess.border[j]
+        dense[3 + j, 3 + j] = hess.diag[j]
+        for k in range(j + 1, m):
+            entry = float(hess.p[j] @ hess.v[k])
+            if k == j + 1:
+                entry += hess.off[j]
+            dense[3 + j, 3 + k] = dense[3 + k, 3 + j] = entry
+    return dense
 
 
 def crossing_pairs_by_rows(points: np.ndarray, orient) -> list:

@@ -10,6 +10,7 @@ from curveflow import (
     SolverOptions,
     TooFewPoints,
     fd_gradient_check,
+    fd_hessian_check,
     from_reduced,
     full_residual_report,
     loop_diameter,
@@ -65,6 +66,21 @@ def test_fd_check_without_bending_path():
     prev = from_reduced(ReducedCoords(base, edge_len, headings))
     cand = ReducedCoords(base, edge_len, headings + rng.uniform(-0.05, 0.05, 14))
     assert fd_gradient_check(cand, prev, params) < 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_fd_hessian_check_on_presets(name):
+    # Small N, and a candidate moved off prev so that every term of D is live.
+    preset = PRESETS[name]
+    prev = make_scenario(Scenario(preset.scenario.kind, 12))
+    rng = np.random.default_rng(43)
+    rc = to_reduced(prev)
+    cand = ReducedCoords(
+        rc.base + rng.uniform(-0.03, 0.03, 2),
+        rc.edge_len * float(rng.uniform(0.95, 1.05)),
+        rc.headings + rng.uniform(-0.08, 0.08, prev.n - 1),
+    )
+    assert fd_hessian_check(cand, prev, preset.params) < 1e-6
 
 
 @pytest.fixture(scope="module")

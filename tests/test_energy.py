@@ -17,9 +17,15 @@ from curveflow import (
     validate,
 )
 
-from curveflow.energy import PrevFrame, _objective_raw
+from curveflow.energy import (
+    PrevFrame,
+    _objective_hessian,
+    _objective_raw,
+    block_tridiagonal_solve,
+    newton_direction,
+)
 from curveflow.polyline import GAP_FLOOR
-from oracles import central_difference, random_open_curve
+from oracles import central_difference, dense_chart_hessian, random_open_curve
 
 PARAMS = EnergyParams(epsilon=0.1, tau=0.1)
 
@@ -278,3 +284,45 @@ def test_gradient_rotation_direction_at_straight_curve():
     # independent of the bending weight: bending contributes nothing
     assert derivs[0] == pytest.approx(derivs[1], rel=1e-12)
     assert derivs[0] == pytest.approx(derivs[2], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 51])
+def test_newton_direction_matches_dense_solve(n):
+    rng = np.random.default_rng(100 + n)
+    base, edge_len, headings = random_open_curve(rng, n)
+    frame = PrevFrame(from_reduced(ReducedCoords(base, edge_len, headings)))
+    z = np.concatenate([
+        base + rng.uniform(-0.03, 0.03, 2),
+        [edge_len * rng.uniform(0.95, 1.05)],
+        headings + rng.uniform(-0.08, 0.08, n - 1),
+    ])
+    _, grad = _objective_raw(z, frame, PARAMS, True)
+    hess = _objective_hessian(z, frame, PARAMS)
+    dense = dense_chart_hessian(hess)
+    x = rng.normal(size=n + 2)
+    np.testing.assert_allclose(hess.matvec(x), dense @ x, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(dense @ x)))
+    expected = -np.linalg.solve(dense, grad)
+    np.testing.assert_allclose(newton_direction(hess, grad), expected, rtol=1e-10,
+                               atol=1e-10 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 7, 8, 33])
+def test_block_cyclic_reduction_matches_dense_solve(n_blocks):
+    rng = np.random.default_rng(200 + n_blocks)
+    size, n_rhs = 5, 4
+    lower = rng.normal(size=(n_blocks, size, size))  # lower[0] is ignored
+    upper = rng.normal(size=(n_blocks, size, size))  # and so is upper[-1]
+    diag = rng.normal(size=(n_blocks, size, size)) + 4.0 * size * np.eye(size)
+    rhs = rng.normal(size=(n_blocks, size, n_rhs))
+    dense = np.zeros((n_blocks * size, n_blocks * size))
+    for j in range(n_blocks):
+        rows = slice(j * size, (j + 1) * size)
+        dense[rows, rows] = diag[j]
+        if j > 0:
+            dense[rows, (j - 1) * size:j * size] = lower[j]
+        if j < n_blocks - 1:
+            dense[rows, (j + 1) * size:(j + 2) * size] = upper[j]
+    expected = np.linalg.solve(dense, rhs.reshape(-1, n_rhs)).reshape(rhs.shape)
+    got = block_tridiagonal_solve(lower, diag, upper, rhs)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)

@@ -232,8 +232,13 @@ def test_cli_entrypoint_subprocess(tmp_path):
 
 
 def test_cli_output_is_independent_of_blas_threads(tmp_path):
-    # The solver's matrix-vector products go through BLAS; its thread count
-    # must not change a single output byte.
+    # The solver's matrix-vector products and batched block solves go through
+    # BLAS and LAPACK; their thread count must not change a single output
+    # byte. These five gamma steps take Newton directions.
+    preset = PRESETS["gamma"]
+    traj = run_flow(make_scenario(preset.scenario),
+                    FlowConfig(params=preset.params, n_steps=5))
+    assert all(r.n_newton > 0 for r in traj.reports)
     src = str(Path(curveflow.cli.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):

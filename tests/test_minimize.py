@@ -8,6 +8,7 @@ from curveflow import (
     EnergyParams,
     FlowConfig,
     ReducedCoords,
+    Scenario,
     SolverOptions,
     assert_cone_condition,
     energy,
@@ -134,25 +135,24 @@ def test_rejected_trial_is_shrunk(monkeypatch):
 
 
 def test_compact_history_matches_two_loop_recursion():
-    # Appends past the initial capacity and past _MEMORY (the oldest pair is
-    # dropped), then a clear() and appends again.
-    memory = curveflow.minimize._MEMORY
+    # Appends up to the full capacity, then a clear() and appends again.
+    capacity = curveflow.minimize._NEWTON_AFTER
     rng = np.random.default_rng(36)
     for size in (7, 60, 150):
         a = rng.normal(size=(size, size))
         hess = a @ a.T / size + np.eye(size)
         history = curveflow.minimize._History(size)
         pairs = []
-        for k in range(memory + 40 + 30):
+        for k in range(2 * capacity):
             g = rng.normal(size=size)
-            if k == memory + 40:
+            if k == capacity:
                 history.clear()
                 pairs.clear()
                 assert np.array_equal(history.direction(g), -g)
             s = rng.normal(size=size)
             y = hess @ s + 0.1 * rng.normal(size=size)
             history.append(s, y, float(s @ y))
-            pairs = (pairs + [(s, y)])[-memory:]
+            pairs.append((s, y))
             expected = two_loop_direction(g, pairs)
             assert len(history) == len(pairs)
             np.testing.assert_allclose(history.direction(g), expected,
@@ -198,6 +198,51 @@ def test_first_flow_steps_converge(name):
     cfg = FlowConfig(params=preset.params, n_steps=10)
     traj = run_flow(make_scenario(preset.scenario), cfg)
     assert [r.stop_reason for r in traj.reports] == ["converged"] * 10
+
+
+def test_stiff_steps_finish_with_newton_and_easy_steps_never_switch():
+    preset = PRESETS["gamma"]
+    traj = run_flow(make_scenario(preset.scenario),
+                    FlowConfig(params=preset.params, n_steps=3))
+    for rep in traj.reports:
+        assert rep.converged
+        assert rep.n_newton > 0
+        assert rep.iterations - rep.n_newton == curveflow.minimize._NEWTON_AFTER
+    preset = PRESETS["segment"]
+    traj = run_flow(make_scenario(preset.scenario),
+                    FlowConfig(params=preset.params, n_steps=20))
+    assert all(r.converged and r.n_newton == 0 for r in traj.reports)
+
+
+@pytest.mark.parametrize("fault", ["singular", "uphill"])
+def test_failed_newton_direction_falls_back_to_steepest_descent(monkeypatch, fault):
+    real = curveflow.minimize.newton_direction
+
+    def faulty(hess, g):
+        if fault == "singular":
+            raise np.linalg.LinAlgError("injected")
+        return -real(hess, g)
+
+    monkeypatch.setattr(curveflow.minimize, "newton_direction", faulty)
+    monkeypatch.setattr(curveflow.minimize, "_MAX_ITERS", 30)
+    preset = PRESETS["gamma"]
+    _, rep = minimize_step(make_scenario(preset.scenario), preset.params)
+    assert rep.stop_reason == "cap"
+    assert rep.iterations == 30
+    assert rep.n_newton == 0
+    assert rep.f_final < rep.f_initial
+
+
+@pytest.mark.slow
+def test_gamma_at_n477_converges_every_step():
+    # L-BFGS alone ended step 164 of this run on zero_step at gradient 2e-7.
+    preset = PRESETS["gamma"]
+    cfg = FlowConfig(params=preset.params, n_steps=preset.max_steps,
+                     stop_tol=preset.stop_tol)
+    traj = run_flow(make_scenario(Scenario("gamma", 477)), cfg)
+    assert traj.n_steps < preset.max_steps
+    assert [(k + 1, r.stop_reason) for k, r in enumerate(traj.reports)
+            if not r.converged] == []
 
 
 def test_cone_condition():

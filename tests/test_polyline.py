@@ -52,6 +52,11 @@ def test_curve_rejects_zero_edge_length():
         DiscreteCurve(points=[(0, 0), (0, 0)], edge_len=0.0)
 
 
+def test_curve_rejects_infinite_edge_length():
+    with pytest.raises(ValueError, match="edge_len must be finite"):
+        DiscreteCurve(points=[(0, 0), (1, 0), (2, 0)], edge_len=float("inf"))
+
+
 def test_validate_rejects_coincident_points():
     with pytest.raises(ZeroEdgeLength):
         validate([(1, 2), (1, 2), (1, 2)])
