@@ -140,7 +140,8 @@ def _run_one(name: str, args) -> None:
             f"[{name}] steps={traj.n_steps} E0={traj.energies[0]:.6f} "
             f"E={traj.energies[-1]:.6f} length={final.total_length:.6f} "
             f"gap={final.gap:.6f} crossings={self_intersections(final)} "
-            f"unconverged={sum(not r.converged for r in traj.reports)}"
+            f"unconverged={sum(not r.converged for r in traj.reports)} "
+            f"worst_grad={max(r.final_grad_norm for r in traj.reports):.3e}"
         )
     except ValueError as exc:  # e.g. CuspAngle: not a usage error
         raise FlowFailure(f"{type(exc).__name__}: {exc}") from exc

@@ -39,6 +39,7 @@ rank-2 semiseparable part, built from O(N) generators, and newton_direction
 solves with it in O(N) by block cyclic reduction.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -103,31 +104,55 @@ def energy(curve: DiscreteCurve, params: EnergyParams) -> EnergyBreakdown:
     )
 
 
+# A sum of tan^2(delta/2) at most this keeps every 1 + cos(delta) at or
+# above 2 / (1 + 1/CUSP_TOL), about twice CUSP_TOL.
+_CUSP_SCREEN = 1.0 / CUSP_TOL
+
+
 class PrevFrame:
-    """Cached geometry of the previous curve used by D and its gradient."""
+    """Cached geometry of the previous curve used by D and its gradient: the
+    point columns (x, y), the edge-normal columns (nx, ny) and l~."""
 
     def __init__(self, prev: DiscreteCurve):
-        self.points = prev.points
+        self.x = np.ascontiguousarray(prev.points[:, 0])
+        self.y = np.ascontiguousarray(prev.points[:, 1])
+        tangents = prev.tangents
+        self.nx = -tangents[:, 1]
+        self.ny = np.ascontiguousarray(tangents[:, 0])
         self.edge_len = prev.edge_len
-        self.normals = rot90(prev.tangents)
         self.n = prev.n
 
 
-def _dissipation_terms(x: np.ndarray, edge_len: float, normals: np.ndarray,
-                       prev: PrevFrame):
-    """Edge-midpoint projections a_e (previous frame), b_e (current frame)
-    and D itself."""
-    dx = x - prev.points
-    mid = 0.5 * (dx[:-1] + dx[1:])
-    a = (mid * prev.normals).sum(axis=1)
-    b = (mid * normals).sum(axis=1)
+def _chart_points(z: np.ndarray, n: int):
+    """Edge tangents (ux, uy), their prefix sums (cx, cy) with
+    c_i = sum_{j<i} u_j, and the points (x, y) of the chart vector z."""
+    theta = z[3:]
+    ux, uy = np.cos(theta), np.sin(theta)
+    cx, cy = np.empty(n), np.empty(n)
+    cx[0] = cy[0] = 0.0
+    np.add.accumulate(ux, out=cx[1:])
+    np.add.accumulate(uy, out=cy[1:])
+    ell = z[2]
+    return ux, uy, cx, cy, z[0] + ell * cx, z[1] + ell * cy
+
+
+def _dissipation_terms(x, y, edge_len: float, ux, uy, prev: PrevFrame):
+    """Displacements (ex, ey), edge-midpoint displacements (mx, my), their
+    projections a_e on the previous normals and b_e on the current ones
+    (the current normal is (-uy, ux)), and D itself."""
+    ex, ey = x - prev.x, y - prev.y
+    mx = 0.5 * (ex[:-1] + ex[1:])
+    my = 0.5 * (ey[:-1] + ey[1:])
+    a = mx * prev.nx + my * prev.ny
+    b = my * ux - mx * uy
+    e0x, e0y, e1x, e1y = float(ex[0]), float(ey[0]), float(ex[-1]), float(ey[-1])
     d_val = (
         0.25 * prev.edge_len * float(a @ a)
         + 0.25 * edge_len * float(b @ b)
-        + 0.5 * float(dx[0] @ dx[0])
-        + 0.5 * float(dx[-1] @ dx[-1])
+        + 0.5 * (e0x * e0x + e0y * e0y)
+        + 0.5 * (e1x * e1x + e1y * e1y)
     )
-    return dx, mid, a, b, d_val
+    return ex, ey, mx, my, a, b, d_val
 
 
 def dissipation(curve: DiscreteCurve, prev: DiscreteCurve) -> float:
@@ -138,10 +163,9 @@ def dissipation(curve: DiscreteCurve, prev: DiscreteCurve) -> float:
     """
     if curve.n != prev.n:
         raise MismatchedN(f"curve has N={curve.n}, prev has N={prev.n}")
-    d_val = _dissipation_terms(
-        curve.points, curve.edge_len, rot90(curve.tangents), PrevFrame(prev)
-    )[-1]
-    return d_val
+    pts, tangents = curve.points, curve.tangents
+    return _dissipation_terms(pts[:, 0], pts[:, 1], curve.edge_len,
+                              tangents[:, 0], tangents[:, 1], PrevFrame(prev))[-1]
 
 
 def _objective_raw(z: np.ndarray, prev: PrevFrame, params: EnergyParams,
@@ -152,80 +176,80 @@ def _objective_raw(z: np.ndarray, prev: PrevFrame, params: EnergyParams,
     This is the feasibility test of the open set the implicit step lives on:
     raises ZeroEdgeLength unless l > 0, DegenerateGap when the endpoint gap is
     at or below GAP_FLOOR, and CuspAngle at anti-parallel consecutive edges.
-    A non-finite z gives a non-finite F rather than an error.
+    A non-finite z gives a non-finite F rather than an error. Works on the x
+    and y columns as 1-D arrays; 2-vectors are Python floats.
     """
     ell = float(z[2])
     if not (ell > 0.0):
         raise ZeroEdgeLength(f"edge length {ell} is not positive")
     n = prev.n
-    base = z[:2]
     theta = z[3:]
     eps, tau = params.epsilon, params.tau
 
-    u = np.empty((n - 1, 2))
-    u[:, 0] = np.cos(theta)
-    u[:, 1] = np.sin(theta)
-    p = np.empty_like(u)  # current edge normals, u rotated by pi/2
-    p[:, 0] = -u[:, 1]
-    p[:, 1] = u[:, 0]
-    csum = np.empty((n, 2))  # csum[i] = sum_{j<i} u_j
-    csum[0] = 0.0
-    np.cumsum(u, axis=0, out=csum[1:])
-    x = base + ell * csum
-
-    d = x[-1] - x[0]
-    gap2 = float(d @ d)
+    ux, uy, cx, cy, x, y = _chart_points(z, n)
+    dx, dy = float(x[-1] - x[0]), float(y[-1] - y[0])
+    gap2 = dx * dx + dy * dy
     if gap2 <= GAP_FLOOR * GAP_FLOOR:
         raise DegenerateGap(
-            f"endpoint gap {np.sqrt(gap2):.3e} is at or below the floor"
+            f"endpoint gap {math.sqrt(gap2):.3e} is at or below the floor"
         )
 
     # Bending in the chart: kappa_i = (2/l) tan(delta_i/2) with delta the
     # heading increment, so (eps*l/2) sum kappa^2 = (2 eps / l) sum tan^2.
+    # As 1 + cos(delta) = 2 / (1 + tan^2(delta/2)), no edge pair can be
+    # anti-parallel while sum tan^2 <= _CUSP_SCREEN; only above it is
+    # 1 + cos(delta) computed and tested against CUSP_TOL.
     delta = theta[1:] - theta[:-1]
-    one_plus_cos = 1.0 + np.cos(delta)
-    if delta.size and one_plus_cos.min() < CUSP_TOL:
-        raise CuspAngle("anti-parallel edges inside objective evaluation")
     t_half = np.tan(0.5 * delta)
+    tan2_sum = float(t_half @ t_half)
+    if tan2_sum > _CUSP_SCREEN and np.min(1.0 + np.cos(delta)) < CUSP_TOL:
+        raise CuspAngle("anti-parallel edges inside objective evaluation")
     c_bend = 2.0 * eps / ell
-    bend = c_bend * float(t_half @ t_half)
+    bend = c_bend * tan2_sum
 
-    energy_val = (n - 1) * ell + bend - 0.5 * float(np.log(gap2))
+    energy_val = (n - 1) * ell + bend - 0.5 * math.log(gap2)
 
-    dxp, mid, a, b, d_val = _dissipation_terms(x, ell, p, prev)
+    ex, ey, mx, my, a, b, d_val = _dissipation_terms(x, y, ell, ux, uy, prev)
     f_val = energy_val + d_val / tau
     if not want_grad:
         return f_val, None
 
-    # Point-space gradient of the Coulomb term and of D/tau; each edge
-    # projection feeds half its weight to each of its two endpoints.
-    pull = d / gap2
-    g_pts = np.zeros((n, 2))
-    g_pts[0] += pull
-    g_pts[-1] -= pull
-    edge_pull = (
-        (0.25 * prev.edge_len / tau) * a[:, None] * prev.normals
-        + (0.25 * ell / tau) * b[:, None] * p
-    )
-    g_pts[:-1] += edge_pull
-    g_pts[1:] += edge_pull
-    g_pts[0] += dxp[0] / tau
-    g_pts[-1] += dxp[-1] / tau
+    # Point-space gradient (gx, gy) of the Coulomb term and of D/tau; each
+    # edge projection feeds half its weight to each of its two endpoints.
+    pull_x, pull_y = dx / gap2, dy / gap2
+    wa = (0.25 * prev.edge_len / tau) * a
+    wb = (0.25 * ell / tau) * b
+    edge_x = wa * prev.nx - wb * uy
+    edge_y = wa * prev.ny + wb * ux
+    gx, gy = np.empty(n), np.empty(n)
+    gx[:-1] = edge_x
+    gy[:-1] = edge_y
+    gx[-1] = float(ex[-1]) / tau - pull_x
+    gy[-1] = float(ey[-1]) / tau - pull_y
+    gx[1:] += edge_x
+    gy[1:] += edge_y
+    gx[0] += float(ex[0]) / tau + pull_x
+    gy[0] += float(ey[0]) / tau + pull_y
 
+    # Chain rule through the positions, with the suffix sums
+    # s_j = sum_{i>=j} g_i: d/d base = s_0, d/dl = sum_i g_i . c_i and
+    # d/d theta_j = l * s_{j+1} . (-uy_j, ux_j).
+    sx = np.add.accumulate(gx[::-1])[::-1]
+    sy = np.add.accumulate(gy[::-1])[::-1]
     grad = np.empty(n + 2)
-    # Chain rule through the positions.
-    grad[:2] = g_pts.sum(axis=0)
-    grad[2] = float((g_pts * csum).sum())
-    suffix = g_pts[::-1].cumsum(axis=0)[::-1]  # suffix[j] = sum_{i>=j} g_i
-    grad[3:] = ell * (suffix[1:] * p).sum(axis=1)
+    grad[0], grad[1] = sx[0], sy[0]
+    grad[2] = float(gx @ cx) + float(gy @ cy)
+    g_theta = grad[3:]
+    np.multiply(sy[1:], ux, out=g_theta)
+    g_theta -= sx[1:] * uy
+    g_theta *= ell
 
     # Direct dependence of length, bending and D on (l, theta).
     grad[2] += (n - 1) - bend / ell + 0.25 * float(b @ b) / tau
-    if delta.size:
-        w = t_half * (1.0 + t_half * t_half)
-        grad[3:-1] -= c_bend * w
-        grad[4:] += c_bend * w
-    grad[3:] -= (0.5 * ell / tau) * b * (mid * u).sum(axis=1)
+    w = c_bend * (t_half * (1.0 + t_half * t_half))
+    g_theta[:-1] -= w
+    g_theta[1:] += w
+    g_theta -= (0.5 * ell / tau) * b * (mx * ux + my * uy)
     return f_val, grad
 
 
@@ -302,22 +326,22 @@ def _objective_hessian(z: np.ndarray, prev: PrevFrame,
     n = prev.n
     theta = z[3:]
     tau = params.tau
-    u = np.column_stack([np.cos(theta), np.sin(theta)])
+    ux, uy, cx, cy, x, y = _chart_points(z, n)
+    ex, ey, mx, my, a, b, _ = _dissipation_terms(x, y, ell, ux, uy, prev)
+    u = np.column_stack([ux, uy])
     p = rot90(u)
-    csum = np.zeros((n, 2))
-    np.cumsum(u, axis=0, out=csum[1:])
-    x = z[:2] + ell * csum
-    d = x[-1] - x[0]
+    csum = np.column_stack([cx, cy])
+    mid = np.column_stack([mx, my])
+    nt = np.column_stack([prev.nx, prev.ny])
+    d = np.array([x[-1] - x[0], y[-1] - y[0]])
     gap2 = float(d @ d)
-    dxp, mid, a, b, _ = _dissipation_terms(x, ell, p, prev)
-    nt = prev.normals
     k_a = 0.5 * prev.edge_len / tau  # curvature of D/tau in a_e
     k_b = 0.5 * ell / tau            # and in b_e
 
     # Coulomb and the x_N endpoint term act through x_N - x_1 = l * sum u and
     # x_N: their heading block is l^2 p_j^T m_end p_k, of rank 2.
     m_end = (2.0 / gap2**2) * np.outer(d, d) + (1.0 / tau - 1.0 / gap2) * np.eye(2)
-    pull = dxp[-1] / tau - d / gap2
+    pull = np.array([ex[-1], ey[-1]]) / tau - d / gap2
     sum_u = csum[-1]
 
     cm = csum[:-1] + 0.5 * u                  # d mid_e / dl

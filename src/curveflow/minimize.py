@@ -8,8 +8,12 @@ history kept in compact form (see _History). Most steps converge within
 _NEWTON_AFTER iterations; a stiff one that has not finishes with exact Newton
 directions from the O(N) structured Hessian solve (energy.newton_direction),
 with a first trial of alpha = 1. Every direction goes through the same Armijo
-backtracking; the objective rejects steps that leave the open set by raising,
-and the line search halves such a step like any other failed trial.
+backtracking (Nocedal and Wright, Numerical Optimization, 2nd ed., sec. 3.5).
+A finite trial that fails takes the next alpha from the minimizer of the
+quadratic through f, g.d and the trial's F, kept within [0.1, 0.5] times
+alpha; the objective rejects steps that leave the open set by raising, and
+the line search halves those, non-finite trials, and trials where that
+quadratic has no positive curvature.
 
 Near the tolerance the decrease Armijo asks for, -alpha*g.d, falls below the
 rounding of F, and the test would reject trials that do improve the iterate.
@@ -20,6 +24,7 @@ rounding; the flow's ENERGY_SLACK (1e-10) sits far above that.
 Everything is deterministic: identical inputs produce bit-identical outputs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +39,16 @@ from .energy import (
 from .errors import CuspAngle, DegenerateGap, ZeroEdgeLength
 from .polyline import DiscreteCurve, ReducedCoords, from_reduced, to_reduced
 
-# Armijo sufficient-decrease constant and the backtracking shrink factor.
+# Armijo sufficient-decrease constant.
 _ARMIJO_C1 = 1e-4
+
+# Bounds of the next trial as a fraction of a rejected alpha, and the factor
+# used where the quadratic model does not apply.
+_SHRINK_MIN = 0.1
 _SHRINK = 0.5
 
-# Backtracking gives up after this many halvings.
-_MAX_HALVINGS = 60
+# Backtracking gives up when the trial after this many backtracks fails too.
+_MAX_BACKTRACKS = 60
 
 # A predicted decrease at or below _FLOOR*(1+|f|) is beneath the rounding of F
 # (~1e-16*|F|, with margin), where Armijo cannot tell improvement from noise.
@@ -47,7 +56,7 @@ _FLOOR = 1e-12
 
 # A step still unconverged after this many L-BFGS iterations goes on with
 # Newton directions; so the L-BFGS history never holds more pairs than this.
-# Segment steps take at most 7 iterations, stiff gamma steps 45-135 L-BFGS ones.
+# Segment steps take at most 6 iterations, stiff gamma steps 45-135 L-BFGS ones.
 _NEWTON_AFTER = 10
 
 # Iteration cap per step.
@@ -74,8 +83,12 @@ class StepReport:
     curvature pair held; with pairs held the solve drops them and goes on),
     ``"no_descent"`` (every backtracking trial was rejected) or ``"cap"``
     (the iteration cap). ``n_evals`` counts objective evaluations, the
-    initial one and trials outside the open set included. ``n_newton`` counts
-    the iterations that took a Newton direction.
+    initial one and trials outside the open set included. ``n_backtracks``
+    counts the trials the line search rejected, outside the open set or
+    failing the Armijo and floor tests; so ``n_evals == 1 + iterations +
+    n_backtracks``, except that an accepted step that rounds to zero adds
+    an evaluation and no iteration. ``n_newton`` counts the iterations that
+    took a Newton direction.
     """
 
     iterations: int
@@ -85,6 +98,7 @@ class StepReport:
     f_final: float
     stop_reason: str
     n_newton: int
+    n_backtracks: int
 
     @property
     def converged(self) -> bool:
@@ -143,6 +157,18 @@ class _History:
         return -(gamma * (g - t @ y) + w @ s)
 
 
+def _next_alpha(alpha: float, f: float, gd: float, f_trial: float) -> float:
+    """The trial after a finite rejected one at alpha: the minimizer of the
+    quadratic q with q(0) = f, q'(0) = gd and q(alpha) = f_trial, kept within
+    [_SHRINK_MIN, _SHRINK] * alpha; _SHRINK * alpha when f_trial is not
+    finite or q has no positive curvature."""
+    curv = f_trial - f - gd * alpha  # alpha^2 times the curvature of q
+    if not 0.0 < curv < math.inf:
+        return _SHRINK * alpha
+    return min(max(-0.5 * gd * alpha * alpha / curv, _SHRINK_MIN * alpha),
+               _SHRINK * alpha)
+
+
 def minimize_step(
     prev: DiscreteCurve,
     params: EnergyParams,
@@ -189,7 +215,7 @@ def minimize_step(
     n_evals = 1
 
     history = _History(n + 2)
-    iterations = n_newton = 0
+    iterations = n_newton = n_backtracks = 0
 
     while True:
         grad_z_inf = float(np.max(np.abs(g / scale)))
@@ -216,13 +242,13 @@ def minimize_step(
 
         alpha = (1.0 if history or took_newton
                  else min(1.0, 1.0 / float(np.linalg.norm(g))))
-        for _ in range(_MAX_HALVINGS + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             w_trial = w + alpha * d
             n_evals += 1
             try:
                 f_trial, g_trial = evaluate(w_trial)
             except (CuspAngle, DegenerateGap, ZeroEdgeLength):
-                pass  # left the open set; shrink
+                alpha *= _SHRINK  # left the open set
             else:
                 if f_trial <= f + _ARMIJO_C1 * alpha * gd:
                     break
@@ -233,7 +259,8 @@ def minimize_step(
                     and float(np.max(np.abs(g_trial / scale))) < grad_z_inf
                 ):
                     break
-            alpha *= _SHRINK
+                alpha = _next_alpha(alpha, f, gd, f_trial)
+            n_backtracks += 1
         else:
             stop_reason = "no_descent"
             break
@@ -267,6 +294,7 @@ def minimize_step(
         f_final=f,
         stop_reason=stop_reason,
         n_newton=n_newton,
+        n_backtracks=n_backtracks,
     )
     next_curve = from_reduced(ReducedCoords.from_vector(scale * w))
     return next_curve, report

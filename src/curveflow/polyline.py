@@ -120,7 +120,8 @@ class ReducedCoords:
     """Constraint-free chart: base point, edge length, N-1 edge headings.
 
     Reconstruction is x_{i+1} = x_i + l*(cos theta_i, sin theta_i) starting
-    from ``base``. Headings are kept unwrapped (no modular reduction) so that
+    from ``base``; l is positive (ZeroEdgeLength otherwise) and finite
+    (ValueError otherwise). Headings are kept unwrapped (no modular reduction) so that
     warm starts across consecutive flow steps vary continuously.
     """
 
@@ -135,6 +136,8 @@ class ReducedCoords:
             raise TooFewPoints("need at least one heading (N >= 2)")
         if not (self.edge_len > 0.0):
             raise ZeroEdgeLength(f"edge_len must be positive, got {self.edge_len}")
+        if not np.isfinite(self.edge_len):
+            raise ValueError("edge_len must be finite")
         base.setflags(write=False)
         headings.setflags(write=False)
         object.__setattr__(self, "base", base)

@@ -7,7 +7,9 @@ are plain central differences. The L-BFGS two-loop recursion and the
 crossing search over one edge at a time are the simple forms of the
 package's compact-form history and blocked crossing search. The dense
 Hessian, written out entry by entry from its generators, is the reference
-for the structured Newton solve. The residuals of one recorded step,
+for the structured Newton solve. The objective kernel in its earlier
+row form, over (N, 2) point arrays, is the reference for the column-form
+``_objective_raw``. The residuals of one recorded step,
 computed in three independent parts that each re-evaluate the velocity,
 curvature and tangents they need, are the reference for the one-pass
 ``full_residual_report``.
@@ -15,7 +17,8 @@ curvature and tangents they need, are the reference for the one-pass
 
 import numpy as np
 
-from curveflow.polyline import discrete_curvature, rot90
+from curveflow.errors import CuspAngle, DegenerateGap, ZeroEdgeLength
+from curveflow.polyline import CUSP_TOL, GAP_FLOOR, discrete_curvature, rot90
 
 
 def segment_step_oracle(length_prev: float, tau: float) -> float:
@@ -266,3 +269,75 @@ def residual_parts(traj, n: int, params) -> dict:
         **_boundary_residual(traj, n, params),
         "coupling_L2": _coupling_l2(traj, n),
     }
+
+
+def row_form_objective(z: np.ndarray, prev, params, want_grad: bool):
+    """F = E + D/tau (and its gradient) at the chart vector z against the
+    previous curve ``prev``, computed over (N, 2) point arrays: the kernel's
+    earlier form, with the same open-set exceptions."""
+    ell = float(z[2])
+    if not (ell > 0.0):
+        raise ZeroEdgeLength(f"edge length {ell} is not positive")
+    n = prev.n
+    prev_normals = rot90(prev.tangents)
+    theta = z[3:]
+    eps, tau = params.epsilon, params.tau
+
+    u = np.column_stack([np.cos(theta), np.sin(theta)])
+    p = rot90(u)
+    csum = np.zeros((n, 2))  # csum[i] = sum_{j<i} u_j
+    np.cumsum(u, axis=0, out=csum[1:])
+    x = z[:2] + ell * csum
+
+    d = x[-1] - x[0]
+    gap2 = float(d @ d)
+    if gap2 <= GAP_FLOOR * GAP_FLOOR:
+        raise DegenerateGap(f"endpoint gap {np.sqrt(gap2):.3e} is at or below the floor")
+    delta = theta[1:] - theta[:-1]
+    one_plus_cos = 1.0 + np.cos(delta)
+    if delta.size and one_plus_cos.min() < CUSP_TOL:
+        raise CuspAngle("anti-parallel edges inside objective evaluation")
+    t_half = np.tan(0.5 * delta)
+    c_bend = 2.0 * eps / ell
+    bend = c_bend * float(t_half @ t_half)
+    energy_val = (n - 1) * ell + bend - 0.5 * float(np.log(gap2))
+
+    dxp = x - prev.points
+    mid = 0.5 * (dxp[:-1] + dxp[1:])
+    a = (mid * prev_normals).sum(axis=1)
+    b = (mid * p).sum(axis=1)
+    d_val = (
+        0.25 * prev.edge_len * float(a @ a)
+        + 0.25 * ell * float(b @ b)
+        + 0.5 * float(dxp[0] @ dxp[0])
+        + 0.5 * float(dxp[-1] @ dxp[-1])
+    )
+    f_val = energy_val + d_val / tau
+    if not want_grad:
+        return f_val, None
+
+    pull = d / gap2
+    g_pts = np.zeros((n, 2))
+    g_pts[0] += pull
+    g_pts[-1] -= pull
+    edge_pull = (
+        (0.25 * prev.edge_len / tau) * a[:, None] * prev_normals
+        + (0.25 * ell / tau) * b[:, None] * p
+    )
+    g_pts[:-1] += edge_pull
+    g_pts[1:] += edge_pull
+    g_pts[0] += dxp[0] / tau
+    g_pts[-1] += dxp[-1] / tau
+
+    grad = np.empty(n + 2)
+    grad[:2] = g_pts.sum(axis=0)
+    grad[2] = float((g_pts * csum).sum())
+    suffix = g_pts[::-1].cumsum(axis=0)[::-1]  # suffix[j] = sum_{i>=j} g_i
+    grad[3:] = ell * (suffix[1:] * p).sum(axis=1)
+    grad[2] += (n - 1) - bend / ell + 0.25 * float(b @ b) / tau
+    if delta.size:
+        w = t_half * (1.0 + t_half * t_half)
+        grad[3:-1] -= c_bend * w
+        grad[4:] += c_bend * w
+    grad[3:] -= (0.5 * ell / tau) * b * (mid * u).sum(axis=1)
+    return f_val, grad

@@ -25,7 +25,12 @@ from curveflow.energy import (
     newton_direction,
 )
 from curveflow.polyline import GAP_FLOOR
-from oracles import central_difference, dense_chart_hessian, random_open_curve
+from oracles import (
+    central_difference,
+    dense_chart_hessian,
+    random_open_curve,
+    row_form_objective,
+)
 
 PARAMS = EnergyParams(epsilon=0.1, tau=0.1)
 
@@ -133,6 +138,46 @@ def test_objective_rejects_points_outside_the_open_set():
     four = PrevFrame(validate([(0, 0), (1, 0), (2, 0), (3, 0)]))
     with pytest.raises(CuspAngle):
         _objective_raw(np.array([0.0, 0.0, 1.0, 0.0, 0.0, np.pi]), four, PARAMS, True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 51, 120, 481])
+def test_objective_kernel_matches_row_form_reference(n):
+    rng = np.random.default_rng(200 + n)
+    params = EnergyParams(epsilon=0.05, tau=0.0125)
+    for _ in range(10):
+        base, edge_len, headings = random_open_curve(rng, n)
+        prev = from_reduced(ReducedCoords(base, edge_len, headings))
+        z = np.concatenate([
+            base + rng.uniform(-0.03, 0.03, 2),
+            [edge_len * rng.uniform(0.95, 1.05)],
+            headings + rng.uniform(-0.08, 0.08, n - 1),
+        ])
+        f_ref, g_ref = row_form_objective(z, prev, params, True)
+        f, g = _objective_raw(z, PrevFrame(prev), params, True)
+        assert abs(f - f_ref) <= 1e-15 * (1.0 + abs(f_ref))
+        assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
+        assert _objective_raw(z, PrevFrame(prev), params, False) == (f, None)
+
+
+def test_objective_kernel_raises_as_row_form_reference():
+    four = validate([(0, 0), (1, 0), (2, 0), (3, 0)])
+    outside = [
+        (ZeroEdgeLength, [0.0, 0.0, 0.0, 0.0, 0.1, 0.2]),
+        (DegenerateGap, [0.0, 0.0, 1.0, 0.0, 2 * np.pi / 3, 4 * np.pi / 3]),
+        (CuspAngle, [0.0, 0.0, 1.0, 0.0, 0.0, np.pi]),
+        (CuspAngle, [0.0, 0.0, 1.0, 0.0, 0.0, np.pi - 1e-6]),  # 1 + cos = 5e-13
+    ]
+    for error, z in outside:
+        z = np.array(z)
+        with pytest.raises(error):
+            row_form_objective(z, four, PARAMS, True)
+        with pytest.raises(error):
+            _objective_raw(z, PrevFrame(four), PARAMS, True)
+    # 1 + cos = 2e-12, just above CUSP_TOL: both evaluate.
+    z = np.array([0.0, 0.0, 1.0, 0.0, 0.0, np.pi - 2e-6])
+    f_ref, _ = row_form_objective(z, four, PARAMS, False)
+    f, _ = _objective_raw(z, PrevFrame(four), PARAMS, False)
+    assert f == pytest.approx(f_ref, rel=1e-15)
 
 
 def test_dissipation_identity_is_zero():

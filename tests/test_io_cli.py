@@ -261,7 +261,10 @@ def test_cli_run_segment_to_unit_length(tmp_path, capsys):
         "--tau", "0.05", "--stop-tol", "1e-7", "--out", str(tmp_path),
     ])
     assert code == 0
-    assert "unconverged=0" in capsys.readouterr().out
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert "unconverged=0 worst_grad=" in summary
+    worst = float(summary.rsplit("worst_grad=", 1)[1])
+    assert 0.0 < worst <= 1e-8  # every step met the default --grad-tol
     recs = read_trajectory_jsonl(str(tmp_path / "segment.jsonl"))
     assert abs(recs[-1]["length"] - 1.0) < 1e-2
 

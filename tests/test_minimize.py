@@ -132,6 +132,59 @@ def test_rejected_trial_is_shrunk(monkeypatch):
     assert len(calls) > 2
     assert rep.f_final <= rep.f_initial
     assert nxt.total_length < seg.total_length
+    # A trial outside the open set halves alpha along the same direction.
+    z0, z1, z2 = (args[0] for args in calls[:3])
+    np.testing.assert_allclose(z2 - z0, 0.5 * (z1 - z0), rtol=0,
+                               atol=1e-12 * np.max(np.abs(z1 - z0)))
+
+
+def test_rejected_finite_trial_backtracks_to_the_quadratic_minimizer(monkeypatch):
+    real = curveflow.minimize._objective_raw
+    calls = []
+
+    def recording(z, *args):
+        f, g = real(z, *args)
+        calls.append((z, f, g))
+        return f, g
+
+    monkeypatch.setattr(curveflow.minimize, "_objective_raw", recording)
+    minimize_step(straight_segment(2.0, 21), EnergyParams(epsilon=0.01, tau=0.05), TIGHT)
+    (z0, f0, g0), (z1, f1, _), (z2, _, _) = calls[:3]
+    step = z1 - z0
+    slope = float(g0 @ step)
+    assert f1 > f0 + curveflow.minimize._ARMIJO_C1 * slope  # the first trial fails Armijo
+    ratio = float((z2 - z0) @ step) / float(step @ step)
+    np.testing.assert_allclose(z2 - z0, ratio * step, rtol=0,
+                               atol=1e-12 * np.max(np.abs(step)))
+    # The next alpha is the quadratic's minimizer clamped to [0.1, 0.5]
+    # times the first; here the clamp at 0.1 applies, where halving gave 0.5.
+    expected = min(max(-0.5 * slope / (f1 - f0 - slope), 0.1), 0.5)
+    assert ratio == pytest.approx(expected, rel=1e-9)
+    assert expected < 0.5
+
+
+def test_next_alpha_is_the_clamped_quadratic_minimizer_or_a_halving():
+    next_alpha = curveflow.minimize._next_alpha
+    # q(t) = -t + c t^2 through q(2) = f_trial has its minimizer at 1 / (2c);
+    # f_trial = 0.5 gives c = 0.625.
+    assert next_alpha(2.0, 0.0, -1.0, 0.5) == pytest.approx(0.8)
+    assert next_alpha(2.0, 0.0, -1.0, 100.0) == pytest.approx(0.2)  # clamped below
+    assert next_alpha(2.0, 0.0, -1.0, -1.9) == pytest.approx(1.0)   # clamped above
+    for f_trial in (-2.0, -3.0, np.nan, np.inf):  # no positive curvature, not finite
+        assert next_alpha(2.0, 0.0, -1.0, f_trial) == 1.0
+
+
+def test_evaluations_are_iterations_plus_backtracks_on_segment_steps():
+    # Measured: at most 2 backtracks in every step at N = 51 and N = 481.
+    preset = PRESETS["segment"]
+    for n in (51, 481):
+        cfg = FlowConfig(params=preset.params, n_steps=preset.max_steps,
+                         stop_tol=preset.stop_tol)
+        traj = run_flow(make_scenario(Scenario("segment", n)), cfg)
+        for rep in traj.reports:
+            assert rep.converged
+            assert rep.n_evals == 1 + rep.iterations + rep.n_backtracks
+            assert rep.n_backtracks <= 2
 
 
 def test_compact_history_matches_two_loop_recursion():

@@ -57,6 +57,12 @@ def test_curve_rejects_infinite_edge_length():
         DiscreteCurve(points=[(0, 0), (1, 0), (2, 0)], edge_len=float("inf"))
 
 
+def test_reduced_coords_reject_infinite_edge_length():
+    # Built, it made objective() return NaN with numpy warnings.
+    with pytest.raises(ValueError, match="edge_len must be finite"):
+        ReducedCoords(base=[0, 0], edge_len=float("inf"), headings=[0.0, 0.0])
+
+
 def test_validate_rejects_coincident_points():
     with pytest.raises(ZeroEdgeLength):
         validate([(1, 2), (1, 2), (1, 2)])
