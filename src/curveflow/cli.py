@@ -122,7 +122,7 @@ def _run_one(name: str, args) -> None:
             if stride is None:
                 stride = max(1, len(traj.snapshots) // 24)
             svg_path = os.path.join(args.out, f"{name}.svg")
-            render_svg(traj, svg_path, stride=stride)
+            render_svg(traj.snapshots, svg_path, stride=stride)
             outputs.append(svg_path)
             if scenario.kind == "asym_gamma":
                 outputs.extend(write_phase_svgs(traj, args.out, name, stride=stride))
@@ -159,8 +159,7 @@ def cmd_run(args) -> int:
 
 def cmd_resample(args) -> int:
     curve = make_scenario(Scenario(kind="file", n=args.n, path=args.infile))
-    lines = [f"{format(p[0], '.17g')} {format(p[1], '.17g')}" for p in curve.points]
-    text = "\n".join(lines) + "\n"
+    text = "".join(f"{x:.17g} {y:.17g}\n" for x, y in curve.points.tolist())
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -84,6 +84,26 @@ class CouplingResidual(NamedTuple):
     l2_norm: float
 
 
+def _fd_mismatch(z0: np.ndarray, exact, fun) -> float:
+    """Max over coordinates k of the mismatch between ``exact(k)`` and the
+    central difference of step _FD_STEP of ``fun`` along coordinate k,
+    relative to the larger of their inf-norms (absolute below 1e-8)."""
+    worst = 0.0
+    for k in range(z0.size):
+        zp = z0.copy()
+        zm = z0.copy()
+        zp[k] += _FD_STEP
+        zm[k] -= _FD_STEP
+        fd = (fun(zp) - fun(zm)) / (2.0 * _FD_STEP)
+        ex = exact(k)
+        scale = max(float(np.max(np.abs(ex))), float(np.max(np.abs(fd))))
+        err = float(np.max(np.abs(fd - ex)))
+        if scale > 1e-8:
+            err /= scale
+        worst = max(worst, err)
+    return worst
+
+
 def fd_gradient_check(rc: ReducedCoords, prev: DiscreteCurve,
                       params: EnergyParams) -> float:
     """Max relative mismatch of the analytic objective gradient vs central
@@ -96,21 +116,8 @@ def fd_gradient_check(rc: ReducedCoords, prev: DiscreteCurve,
     frame = PrevFrame(prev)
     z0 = rc.as_vector()
     _, grad = _objective_raw(z0, frame, params, True)
-    worst = 0.0
-    for k in range(z0.size):
-        zp = z0.copy()
-        zm = z0.copy()
-        zp[k] += _FD_STEP
-        zm[k] -= _FD_STEP
-        fp, _ = _objective_raw(zp, frame, params, False)
-        fm, _ = _objective_raw(zm, frame, params, False)
-        fd = (fp - fm) / (2.0 * _FD_STEP)
-        scale = max(abs(grad[k]), abs(fd))
-        err = abs(fd - grad[k])
-        if scale > 1e-8:
-            err /= scale
-        worst = max(worst, err)
-    return worst
+    return _fd_mismatch(z0, lambda k: grad[k],
+                        lambda z: _objective_raw(z, frame, params, False)[0])
 
 
 def fd_hessian_check(rc: ReducedCoords, prev: DiscreteCurve,
@@ -126,24 +133,8 @@ def fd_hessian_check(rc: ReducedCoords, prev: DiscreteCurve,
     frame = PrevFrame(prev)
     z0 = rc.as_vector()
     hess = _objective_hessian(z0, frame, params)
-    worst = 0.0
-    for k in range(z0.size):
-        unit = np.zeros_like(z0)
-        unit[k] = 1.0
-        column = hess.matvec(unit)
-        zp = z0.copy()
-        zm = z0.copy()
-        zp[k] += _FD_STEP
-        zm[k] -= _FD_STEP
-        _, gp = _objective_raw(zp, frame, params, True)
-        _, gm = _objective_raw(zm, frame, params, True)
-        fd = (gp - gm) / (2.0 * _FD_STEP)
-        scale = max(float(np.max(np.abs(column))), float(np.max(np.abs(fd))))
-        err = float(np.max(np.abs(fd - column)))
-        if scale > 1e-8:
-            err /= scale
-        worst = max(worst, err)
-    return worst
+    return _fd_mismatch(z0, lambda k: hess.matvec(np.eye(1, z0.size, k)[0]),
+                        lambda z: _objective_raw(z, frame, params, True)[1])
 
 
 def vertex_tangents(curve: DiscreteCurve) -> np.ndarray:

@@ -7,6 +7,7 @@ the input.
 
 import colorsys
 import os
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -17,26 +18,14 @@ from .polyline import DiscreteCurve
 SVG_WIDTH = 600.0
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _snapshot_record(traj: Trajectory, k: int) -> str:
-    step = traj.snapshot_steps[k]
-    curve = traj.snapshots[k]
-    pts = ",".join(
-        f"[{_fmt(p[0])},{_fmt(p[1])}]" for p in curve.points
-    )
-    return (
-        "{"
-        f'"t":{_fmt(step * traj.tau)},'
-        f'"l":{_fmt(curve.edge_len)},'
-        f'"points":[{pts}],'
-        f'"E":{_fmt(traj.energies[step])},'
-        f'"length":{_fmt(traj.lengths[step])},'
-        f'"gap":{_fmt(traj.gaps[step])}'
-        "}"
-    )
+def _rows(traj: Trajectory):
+    """Per snapshot: step, its vertices as (x, y) pairs, t, l, E, length and
+    gap, every number a Python float; one snapshot is converted at a time."""
+    for step, curve in zip(traj.snapshot_steps, traj.snapshots):
+        xs, ys = curve.points.T.tolist()
+        yield (step, zip(xs, ys), step * traj.tau, curve.edge_len,
+               float(traj.energies[step]), float(traj.lengths[step]),
+               float(traj.gaps[step]))
 
 
 def write_trajectory(traj: Trajectory, path: str, fmt: str = "jsonl") -> None:
@@ -48,27 +37,20 @@ def write_trajectory(traj: Trajectory, path: str, fmt: str = "jsonl") -> None:
     """
     if fmt == "jsonl":
         with open(path, "w") as fh:
-            for k in range(len(traj.snapshots)):
-                fh.write(_snapshot_record(traj, k) + "\n")
+            for _, pts, t, ell, e, length, gap in _rows(traj):
+                coords = ",".join(f"[{x:.17g},{y:.17g}]" for x, y in pts)
+                fh.write(f'{{"t":{t:.17g},"l":{ell:.17g},"points":[{coords}],'
+                         f'"E":{e:.17g},"length":{length:.17g},"gap":{gap:.17g}}}\n')
         return
     if fmt == "csv":
-        with open(path, "w") as fh:
+        with open(path, "w") as fh, open(path + ".scalars.csv", "w") as side:
             fh.write("step,i,x,y\n")
-            for k, curve in enumerate(traj.snapshots):
-                step = traj.snapshot_steps[k]
-                for i, p in enumerate(curve.points):
-                    fh.write(f"{step},{i},{_fmt(p[0])},{_fmt(p[1])}\n")
-        sidecar = path + ".scalars.csv"
-        with open(sidecar, "w") as fh:
-            fh.write("step,t,l,E,length,gap\n")
-            for k in range(len(traj.snapshots)):
-                step = traj.snapshot_steps[k]
-                fh.write(
-                    f"{step},{_fmt(step * traj.tau)},"
-                    f"{_fmt(traj.snapshots[k].edge_len)},"
-                    f"{_fmt(traj.energies[step])},{_fmt(traj.lengths[step])},"
-                    f"{_fmt(traj.gaps[step])}\n"
-                )
+            side.write("step,t,l,E,length,gap\n")
+            for step, pts, t, ell, e, length, gap in _rows(traj):
+                fh.write("".join(f"{step},{i},{x:.17g},{y:.17g}\n"
+                                 for i, (x, y) in enumerate(pts)))
+                side.write(f"{step},{t:.17g},{ell:.17g},{e:.17g},"
+                           f"{length:.17g},{gap:.17g}\n")
         return
     raise ValueError(f"unknown format {fmt!r} (use 'jsonl' or 'csv')")
 
@@ -96,18 +78,18 @@ def _stroke_color(k: int, count: int) -> str:
     return f"#{round(r * 255):02x}{round(g * 255):02x}{round(b * 255):02x}"
 
 
-def render_svg(traj: Trajectory, path: str, stride: int = 1) -> None:
-    """Render every ``stride``-th snapshot as an SVG polyline.
+def render_svg(curves: Sequence[DiscreteCurve], path: str, stride: int = 1) -> None:
+    """Render every ``stride``-th curve, and the last, as an SVG polyline.
 
-    Stroke colors run from violet to red with snapshot order; the viewBox is
+    Stroke colors run from violet to red with curve order; the viewBox is
     the bounding box of the drawn curves with a 5% margin. Output bytes are a
-    deterministic function of the trajectory.
+    deterministic function of the curves.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    drawn = traj.snapshots[::stride]
-    if drawn[-1] is not traj.snapshots[-1]:
-        drawn.append(traj.snapshots[-1])
+    drawn = list(curves[::stride])
+    if (len(curves) - 1) % stride:
+        drawn.append(curves[-1])
     allpts = np.vstack([c.points for c in drawn])
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
@@ -124,9 +106,8 @@ def render_svg(traj: Trajectory, path: str, stride: int = 1) -> None:
         f'viewBox="{x0:.9g} {-(y0 + h):.9g} {w:.9g} {h:.9g}">',
     ]
     for k, curve in enumerate(drawn):
-        coords = " ".join(
-            f"{p[0]:.9g},{-p[1]:.9g}" for p in curve.points  # SVG y runs down
-        )
+        # SVG y runs down.
+        coords = " ".join(f"{x:.9g},{-y:.9g}" for x, y in curve.points.tolist())
         lines.append(
             f'<polyline fill="none" stroke="{_stroke_color(k, len(drawn))}" '
             f'stroke-width="{stroke:.6g}" points="{coords}"/>'
@@ -143,12 +124,8 @@ def write_phase_svgs(traj: Trajectory, out_dir: str, basename: str,
     cuts = [0, count // 3, (2 * count) // 3, count]
     paths = []
     for ph in range(3):
-        sub = Trajectory(tau=traj.tau)
-        sub.snapshots = traj.snapshots[cuts[ph] : max(cuts[ph + 1], cuts[ph] + 1)]
-        sub.snapshot_steps = traj.snapshot_steps[
-            cuts[ph] : max(cuts[ph + 1], cuts[ph] + 1)
-        ]
         p = os.path.join(out_dir, f"{basename}_phase{ph + 1}.svg")
-        render_svg(sub, p, stride=stride)
+        render_svg(traj.snapshots[cuts[ph] : max(cuts[ph + 1], cuts[ph] + 1)],
+                   p, stride=stride)
         paths.append(p)
     return paths

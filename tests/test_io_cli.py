@@ -19,6 +19,7 @@ from curveflow import (
     PRESETS,
     Scenario,
     SolverOptions,
+    Trajectory,
     make_scenario,
     read_trajectory_jsonl,
     render_svg,
@@ -39,6 +40,13 @@ def short_traj():
         solver=SolverOptions(grad_tol=1e-9),
     )
     return run_flow(seg, cfg)
+
+
+@pytest.fixture(scope="module")
+def sinus_traj():
+    """A curved flow: no coordinate column is constant."""
+    cfg = FlowConfig(params=PRESETS["sinus"].params, n_steps=6)
+    return run_flow(make_scenario(Scenario(kind="sinus", n=15)), cfg)
 
 
 def test_scenarios_all_valid_and_admissible():
@@ -84,18 +92,41 @@ def test_file_scenario_roundtrip(tmp_path):
     assert c.is_admissible()
 
 
-def test_jsonl_roundtrip_bit_exact(short_traj, tmp_path):
+def _snapshot_scalars(traj):
+    """(step, t, l, E, length, gap) of every snapshot, as recorded."""
+    return [(s, s * traj.tau, c.edge_len, traj.energies[s], traj.lengths[s],
+             traj.gaps[s]) for s, c in zip(traj.snapshot_steps, traj.snapshots)]
+
+
+def test_jsonl_roundtrip_bit_exact(sinus_traj, tmp_path):
     path = str(tmp_path / "traj.jsonl")
-    write_trajectory(short_traj, path, fmt="jsonl")
+    write_trajectory(sinus_traj, path, fmt="jsonl")
     records = read_trajectory_jsonl(path)
-    assert len(records) == len(short_traj.snapshots)
-    for rec, curve, step in zip(
-        records, short_traj.snapshots, short_traj.snapshot_steps
-    ):
+    assert len(records) == len(sinus_traj.snapshots)
+    for rec, curve in zip(records, sinus_traj.snapshots):
         assert np.array_equal(rec["points"], curve.points)
-        assert rec["l"] == curve.edge_len
-        assert rec["t"] == step * short_traj.tau
-        assert rec["E"] == short_traj.energies[step]
+    assert [(s, r["t"], r["l"], r["E"], r["length"], r["gap"])
+            for s, r in zip(sinus_traj.snapshot_steps, records)
+            ] == _snapshot_scalars(sinus_traj)
+
+
+def test_csv_roundtrip_bit_exact(sinus_traj, tmp_path):
+    path = str(tmp_path / "traj.csv")
+    write_trajectory(sinus_traj, path, fmt="csv")
+    header, *rows = open(path).read().splitlines()
+    assert header == "step,i,x,y"
+    parsed = [(int(s), int(i), float(x), float(y))
+              for s, i, x, y in (row.split(",") for row in rows)]
+    assert parsed == [
+        (step, i, x, y)
+        for step, curve in zip(sinus_traj.snapshot_steps, sinus_traj.snapshots)
+        for i, (x, y) in enumerate(curve.points.tolist())
+    ]
+    header, *rows = open(path + ".scalars.csv").read().splitlines()
+    assert header == "step,t,l,E,length,gap"
+    parsed = [(int(s), *map(float, rest))
+              for s, *rest in (row.split(",") for row in rows)]
+    assert parsed == _snapshot_scalars(sinus_traj)
 
 
 def test_csv_row_count(short_traj, tmp_path):
@@ -109,8 +140,6 @@ def test_csv_row_count(short_traj, tmp_path):
 
 def test_single_snapshot_file(tmp_path):
     seg = validate([(0.0, 0.0), (1.0, 0.0)])
-    from curveflow.flow import Trajectory
-
     traj = Trajectory(tau=0.1)
     traj.snapshots.append(seg)
     traj.snapshot_steps.append(0)
@@ -121,20 +150,20 @@ def test_single_snapshot_file(tmp_path):
     write_trajectory(traj, path)
     assert len(read_trajectory_jsonl(path)) == 1
     svg = str(tmp_path / "one.svg")
-    render_svg(traj, svg)
+    render_svg(traj.snapshots, svg)
     assert open(svg).read().count("<polyline") == 1
 
 
 def test_svg_deterministic_and_strided(short_traj, tmp_path):
     p1 = str(tmp_path / "a.svg")
     p2 = str(tmp_path / "b.svg")
-    render_svg(short_traj, p1)
-    render_svg(short_traj, p2)
+    render_svg(short_traj.snapshots, p1)
+    render_svg(short_traj.snapshots, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
     text = open(p1).read()
     assert text.count("<polyline") == len(short_traj.snapshots)
     p3 = str(tmp_path / "c.svg")
-    render_svg(short_traj, p3, stride=2)
+    render_svg(short_traj.snapshots, p3, stride=2)
     drawn = len(short_traj.snapshots[::2])
     if (len(short_traj.snapshots) - 1) % 2 != 0:
         drawn += 1
@@ -145,7 +174,7 @@ def test_svg_color_ramp(short_traj, tmp_path):
     import re
 
     p = str(tmp_path / "ramp.svg")
-    render_svg(short_traj, p)
+    render_svg(short_traj.snapshots, p)
     strokes = re.findall(r'stroke="#(..)(..)(..)"', open(p).read())
     first = [int(h, 16) for h in strokes[0]]
     last = [int(h, 16) for h in strokes[-1]]
@@ -162,6 +191,25 @@ def test_phase_svgs(short_traj, tmp_path):
     assert len(paths) == 3
     for p in paths:
         assert "<polyline" in open(p).read()
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_phase_svgs_draw_exactly_their_third(sinus_traj, tmp_path, count):
+    from curveflow.io import write_phase_svgs
+
+    snapshots = sinus_traj.snapshots[:count]
+    traj = Trajectory(tau=sinus_traj.tau, snapshots=snapshots,
+                      snapshot_steps=sinus_traj.snapshot_steps[:count])
+    paths = write_phase_svgs(traj, str(tmp_path), "flow", stride=1)
+    cuts = [0, count // 3, (2 * count) // 3, count]
+    for k, p in enumerate(paths):
+        third = snapshots[cuts[k] : max(cuts[k + 1], cuts[k] + 1)]
+        polys = re.findall(r'points="([^"]*)"', open(p).read())
+        assert len(polys) == len(third)
+        for coords, curve in zip(polys, third):
+            drawn = np.array([pair.split(",") for pair in coords.split()], dtype=float)
+            assert np.allclose(drawn, curve.points * [1.0, -1.0], rtol=1e-8, atol=1e-8)
+    assert third[-1] is snapshots[-1]
 
 
 def test_cli_run_segment(tmp_path):
