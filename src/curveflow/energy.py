@@ -52,6 +52,7 @@ from .polyline import (
     GAP_FLOOR,
     DiscreteCurve,
     ReducedCoords,
+    _chart_points,
     discrete_curvature,
     rot90,
 )
@@ -121,19 +122,6 @@ class PrevFrame:
         self.ny = np.ascontiguousarray(tangents[:, 0])
         self.edge_len = prev.edge_len
         self.n = prev.n
-
-
-def _chart_points(z: np.ndarray, n: int):
-    """Edge tangents (ux, uy), their prefix sums (cx, cy) with
-    c_i = sum_{j<i} u_j, and the points (x, y) of the chart vector z."""
-    theta = z[3:]
-    ux, uy = np.cos(theta), np.sin(theta)
-    cx, cy = np.empty(n), np.empty(n)
-    cx[0] = cy[0] = 0.0
-    np.add.accumulate(ux, out=cx[1:])
-    np.add.accumulate(uy, out=cy[1:])
-    ell = z[2]
-    return ux, uy, cx, cy, z[0] + ell * cx, z[1] + ell * cy
 
 
 def _dissipation_terms(x, y, edge_len: float, ux, uy, prev: PrevFrame):

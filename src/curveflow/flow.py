@@ -86,8 +86,9 @@ def assert_cone_condition(next_curve: DiscreteCurve, prev: DiscreteCurve) -> boo
     return bool(np.all(dots >= 0.0))
 
 
-def _check_bounds(step, e_prev, breakdown, next_curve, prev, e0, diss_sum):
+def _check_bounds(step, e_prev, breakdown, next_curve, prev, e0, diss_sum, d_over_tau):
     e_next = breakdown.total
+    slack = ENERGY_SLACK * (1.0 + abs(e0))
     details = {
         "E_prev": e_prev,
         "E_next": e_next,
@@ -99,8 +100,10 @@ def _check_bounds(step, e_prev, breakdown, next_curve, prev, e0, diss_sum):
     if not assert_cone_condition(next_curve, prev):
         raise BoundViolation(
             "tangent cone condition violated (tau too large?)", step, details)
-    if e_next > e_prev + ENERGY_SLACK * (1.0 + abs(e0)):
+    if e_next > e_prev + slack:
         raise BoundViolation("energy increased", step, details)
+    if e_next + d_over_tau > e_prev + slack:
+        raise BoundViolation("energy chain violated (E_next + D/tau > E_prev)", step, details)
     if not next_curve.is_admissible():
         raise BoundViolation("endpoint gap at or below floor", step, details)
     if next_curve.total_length > 2.0 * (e0 + 1.0):
@@ -131,7 +134,7 @@ def run_flow(initial: DiscreteCurve, cfg: FlowConfig) -> Trajectory:
         diss_sum += d_over_tau
         breakdown = energy(cur, params)
         e_next = breakdown.total
-        _check_bounds(step, e_prev, breakdown, cur, prev, e0, diss_sum)
+        _check_bounds(step, e_prev, breakdown, cur, prev, e0, diss_sum, d_over_tau)
 
         traj.energies.append(e_next)
         traj.lengths.append(cur.total_length)

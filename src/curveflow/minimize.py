@@ -11,9 +11,9 @@ with a first trial of alpha = 1. Every direction goes through the same Armijo
 backtracking (Nocedal and Wright, Numerical Optimization, 2nd ed., sec. 3.5).
 A finite trial that fails takes the next alpha from the minimizer of the
 quadratic through f, g.d and the trial's F, kept within [0.1, 0.5] times
-alpha; the objective rejects steps that leave the open set by raising, and
-the line search halves those, non-finite trials, and trials where that
-quadratic has no positive curvature.
+alpha. A trial outside the open set (the objective raises) counts as
+F = inf, so it is halved like a non-finite trial or one where that quadratic
+has no positive curvature.
 
 Near the tolerance the decrease Armijo asks for, -alpha*g.d, falls below the
 rounding of F, and the test would reject trials that do improve the iterate.
@@ -65,13 +65,13 @@ _MAX_ITERS = 2000
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Stationarity tolerance of the inner quasi-Newton solver."""
+    """Stationarity tolerance (positive, finite) of the inner quasi-Newton solver."""
 
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ class _History:
 
 
 def _next_alpha(alpha: float, f: float, gd: float, f_trial: float) -> float:
-    """The trial after a finite rejected one at alpha: the minimizer of the
+    """The trial after a rejected one at alpha: the minimizer of the
     quadratic q with q(0) = f, q'(0) = gd and q(alpha) = f_trial, kept within
     [_SHRINK_MIN, _SHRINK] * alpha; _SHRINK * alpha when f_trial is not
     finite or q has no positive curvature."""
@@ -248,18 +248,17 @@ def minimize_step(
             try:
                 f_trial, g_trial = evaluate(w_trial)
             except (CuspAngle, DegenerateGap, ZeroEdgeLength):
-                alpha *= _SHRINK  # left the open set
-            else:
-                if f_trial <= f + _ARMIJO_C1 * alpha * gd:
-                    break
-                # Below the rounding of F, take a lower gradient as progress.
-                if (
-                    -alpha * gd <= _FLOOR * (1.0 + abs(f))
-                    and np.isfinite(f_trial)
-                    and float(np.max(np.abs(g_trial / scale))) < grad_z_inf
-                ):
-                    break
-                alpha = _next_alpha(alpha, f, gd, f_trial)
+                f_trial = math.inf  # left the open set
+            if f_trial <= f + _ARMIJO_C1 * alpha * gd:
+                break
+            # Below the rounding of F, take a lower gradient as progress.
+            if (
+                -alpha * gd <= _FLOOR * (1.0 + abs(f))
+                and np.isfinite(f_trial)
+                and float(np.max(np.abs(g_trial / scale))) < grad_z_inf
+            ):
+                break
+            alpha = _next_alpha(alpha, f, gd, f_trial)
             n_backtracks += 1
         else:
             stop_reason = "no_descent"

@@ -193,15 +193,23 @@ def to_reduced(curve: DiscreteCurve) -> ReducedCoords:
     )
 
 
+def _chart_points(z: np.ndarray, n: int):
+    """The one chart map: tangents (ux, uy), prefix sums (cx, cy) with
+    c_i = sum_{j<i} u_j, and points (x, y) = base + l*c of the chart vector z."""
+    theta = z[3:]
+    ux, uy = np.cos(theta), np.sin(theta)
+    cx, cy = np.empty(n), np.empty(n)
+    cx[0] = cy[0] = 0.0
+    np.add.accumulate(ux, out=cx[1:])
+    np.add.accumulate(uy, out=cy[1:])
+    ell = z[2]
+    return ux, uy, cx, cy, z[0] + ell * cx, z[1] + ell * cy
+
+
 def from_reduced(rc: ReducedCoords) -> DiscreteCurve:
-    """Rebuild the point list from reduced coordinates (exactly equal edges)
-    by a cumulative sum of the edge vectors from the base point."""
-    u = np.column_stack([np.cos(rc.headings), np.sin(rc.headings)])
-    pts = np.empty((rc.n, 2))
-    pts[0] = rc.base
-    np.cumsum(rc.edge_len * u, axis=0, out=pts[1:])
-    pts[1:] += rc.base
-    return DiscreteCurve(points=pts, edge_len=rc.edge_len)
+    """Rebuild the point list from reduced coordinates by the chart map."""
+    *_, x, y = _chart_points(rc.as_vector(), rc.n)
+    return DiscreteCurve(points=np.column_stack([x, y]), edge_len=rc.edge_len)
 
 
 def turning_angles(curve: DiscreteCurve) -> np.ndarray:

@@ -112,7 +112,7 @@ def test_gap_at_floor_is_a_bound_violation():
     breakdown = energy(curve, EnergyParams(epsilon=0.01, tau=0.05))
     e = breakdown.total
     with pytest.raises(BoundViolation, match="endpoint gap"):
-        curveflow.flow._check_bounds(1, e, breakdown, curve, curve, e, 0.0)
+        curveflow.flow._check_bounds(1, e, breakdown, curve, curve, e, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("case, message", [
@@ -137,8 +137,29 @@ def test_each_runtime_bound_is_a_bound_violation(case, message):
         "dissipation": (e, e, e + 1.0),
     }[case]
     with pytest.raises(BoundViolation, match=message) as exc:
-        curveflow.flow._check_bounds(7, e_prev, breakdown, curve, curve, e0, diss_sum)
+        curveflow.flow._check_bounds(7, e_prev, breakdown, curve, curve, e0, diss_sum,
+                                     0.0)
     assert exc.value.step == 7
+
+
+def test_step_above_the_energy_chain_is_a_bound_violation(monkeypatch):
+    # A faked step from a length-2 segment to the centred length-1.9 one
+    # lowers E, but E_next + D/tau exceeds E_prev by about 1.3e-3.
+    seg = straight_segment(2.0, 21)
+    shorter = validate(seg.points * [0.95, 1.0] + [0.05, 0.0])
+    params = EnergyParams(epsilon=0.01, tau=0.05)
+    e_prev, e_next = energy(seg, params).total, energy(shorter, params).total
+    d_over_tau = curveflow.flow.dissipation(shorter, seg) / params.tau
+    assert e_next < e_prev < e_next + d_over_tau < e_prev + 2e-3
+
+    def faked_step(prev, params, opts):
+        return shorter, None
+
+    monkeypatch.setattr(curveflow.flow, "minimize_step", faked_step)
+    with pytest.raises(BoundViolation, match="energy chain") as exc:
+        run_flow(seg, FlowConfig(params=params, n_steps=1))
+    assert exc.value.step == 1
+    assert exc.value.details["E_next"] == e_next
 
 
 def test_velocity_stationary_and_reconstruction(segment_traj):

@@ -170,6 +170,17 @@ def test_svg_deterministic_and_strided(short_traj, tmp_path):
     assert open(p3).read().count("<polyline") == drawn
 
 
+def test_svg_draws_the_last_curve_off_the_stride(short_traj, tmp_path):
+    curves = short_traj.snapshots
+    assert (len(curves) - 1) % 4 != 0
+    p = str(tmp_path / "off.svg")
+    render_svg(curves, p, stride=4)
+    polys = re.findall(r'points="([^"]*)"', open(p).read())
+    assert len(polys) == len(curves[::4]) + 1
+    drawn = np.array([pair.split(",") for pair in polys[-1].split()], dtype=float)
+    assert np.allclose(drawn, curves[-1].points * [1.0, -1.0], rtol=1e-8, atol=1e-8)
+
+
 def test_svg_color_ramp(short_traj, tmp_path):
     import re
 
@@ -245,6 +256,41 @@ def test_cli_resample(tmp_path):
     assert pts.shape == (7, 2)
     lens = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     assert (lens.max() - lens.min()) / lens.mean() < 1e-9
+
+
+def test_cli_resample_to_stdout(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    angles = np.linspace(0.0, np.pi, 40)
+    np.savetxt(src, np.column_stack([np.cos(angles), np.sin(angles)]))
+    assert main(["resample", "--in", str(src), "--n", "9"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 9
+    tokens = [tok for row in rows for tok in row.split(" ")]
+    assert all(f"{float(tok):.17g}" == tok for tok in tokens)
+    curve = validate(np.array(tokens, dtype=float).reshape(9, 2))
+    lens = np.linalg.norm(curve.edges, axis=1)
+    assert (lens.max() - lens.min()) / lens.mean() < 1e-9
+
+
+def test_cli_asym_gamma_svg_writes_and_lists_phase_svgs(tmp_path, capsys):
+    code = main(["run", "--scenario", "asym_gamma", "--n", "40", "--steps", "6",
+                 "--svg", "--out", str(tmp_path)])
+    assert code == 0
+    listed = [line.split(" wrote ", 1)[1]
+              for line in capsys.readouterr().out.splitlines() if " wrote " in line]
+    phases = [str(tmp_path / f"asym_gamma_phase{k}.svg") for k in (1, 2, 3)]
+    assert listed == [str(tmp_path / "asym_gamma.jsonl"),
+                      str(tmp_path / "asym_gamma.svg"), *phases]
+    for p in phases:
+        assert "<polyline" in Path(p).read_text()
+
+
+def test_cli_file_scenario_needs_in(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "file", "--steps", "3", "--out", str(out)])
+    assert code == 1
+    assert "--scenario file needs --in FILE" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_format_and_snapshot_every(tmp_path):
@@ -417,6 +463,15 @@ def test_cli_file_with_degenerate_gap_exits_one(tmp_path):
         "--steps", "3", "--out", str(out),
     ])
     assert code == 1
+    assert not out.exists()
+
+
+def test_cli_infinite_grad_tol_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "segment", "--steps", "2", "--out", str(out),
+                 "--grad-tol", "inf"])
+    assert code == 1
+    assert "grad_tol must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 

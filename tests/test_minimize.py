@@ -21,6 +21,8 @@ from curveflow import (
     validate,
 )
 
+from curveflow.polyline import _chart_points
+
 from oracles import random_open_curve, segment_step_oracle, two_loop_direction
 
 # The tolerance these tests check against, tighter than the SolverOptions default.
@@ -231,6 +233,72 @@ def test_zero_step_clears_history_and_converges(monkeypatch):
     assert nxt.total_length == pytest.approx(segment_step_oracle(2.0, 0.05), abs=1e-6)
 
 
+def test_no_trial_accepted_stops_on_no_descent(monkeypatch):
+    # Every trial leaves the open set: the line search rejects them all, and
+    # the step returns its start with each rejection counted.
+    real = curveflow.minimize._objective_raw
+    calls = []
+
+    def open_set_only_at_start(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise CuspAngle("injected")
+        return real(*args)
+
+    monkeypatch.setattr(curveflow.minimize, "_objective_raw", open_set_only_at_start)
+    seg = straight_segment(2.0, 21)
+    nxt, rep = minimize_step(seg, EnergyParams(epsilon=0.01, tau=0.05), TIGHT)
+    assert rep.stop_reason == "no_descent"
+    assert rep.iterations == 0
+    assert rep.n_backtracks == curveflow.minimize._MAX_BACKTRACKS + 1
+    assert rep.n_evals == len(calls) == 1 + rep.iterations + rep.n_backtracks
+    assert rep.f_final == rep.f_initial
+    np.testing.assert_allclose(nxt.points, seg.points, rtol=0, atol=1e-15)
+
+
+def test_zero_step_without_pairs_stops_on_zero_step(monkeypatch):
+    # With no curvature pair held, an accepted step that rounds to zero ends
+    # the solve; it costs an evaluation but no iteration.
+    real = curveflow.minimize._History.direction
+
+    def vanishing(self, g):
+        return real(self, g) * 1e-200
+
+    monkeypatch.setattr(curveflow.minimize._History, "direction", vanishing)
+    seg = straight_segment(2.0, 21)
+    nxt, rep = minimize_step(seg, EnergyParams(epsilon=0.01, tau=0.05), TIGHT)
+    assert rep.stop_reason == "zero_step"
+    assert rep.iterations == 0 and rep.n_backtracks == 0
+    assert rep.n_evals == 2 == 1 + rep.iterations + rep.n_backtracks + 1
+    assert rep.f_final == rep.f_initial
+    assert rep.final_grad_norm > TIGHT.grad_tol
+    np.testing.assert_allclose(nxt.points, seg.points, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["segment", "sinus", "gamma"])
+def test_returned_curve_is_the_chart_map_of_the_accepted_point(monkeypatch, name):
+    # The step returns exactly the points whose F it accepted: from_reduced
+    # and the objective share one chart map.
+    real = curveflow.minimize._objective_raw
+    calls = []
+
+    def recording(z, *args):
+        f, g = real(z, *args)
+        calls.append((z.copy(), f))
+        return f, g
+
+    monkeypatch.setattr(curveflow.minimize, "_objective_raw", recording)
+    preset = PRESETS[name]
+    prev = make_scenario(preset.scenario)
+    nxt, rep = minimize_step(prev, preset.params)
+    assert rep.converged
+    z, f = calls[-1]  # a converged step ends on its accepted trial
+    assert f == rep.f_final
+    *_, x, y = _chart_points(z, prev.n)
+    assert np.array_equal(nxt.points, np.column_stack([x, y]))
+    assert nxt.edge_len == z[2]
+
+
 def test_max_iters_returns_partial_result(monkeypatch):
     monkeypatch.setattr(curveflow.minimize, "_MAX_ITERS", 2)
     seg = straight_segment(2.0, 31)
@@ -310,3 +378,7 @@ def test_solver_options_validation():
         SolverOptions(grad_tol=-1.0)
     with pytest.raises(ValueError):
         SolverOptions(grad_tol=0.0)
+    # An infinite tolerance would end every step at 0 iterations, unmoved.
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverOptions(grad_tol=bad)
