@@ -32,9 +32,6 @@ RESIDUAL_MIN_POINTS = 5
 # Central-difference step of fd_gradient_check and fd_hessian_check.
 _FD_STEP = 1e-6
 
-# Edges tested at once against every other edge by crossing_pairs.
-_CROSSING_ROWS = 16
-
 # Columns of the per-step CSV that ``curveflow run --diagnostics`` writes.
 RESIDUAL_CSV_HEADER = ("snapshot_step,interior_L2,interior_max,coupling_L2,"
                        "boundary_start,boundary_end,kappa_start,kappa_end\n")
@@ -273,7 +270,13 @@ def _orient(p, q, r, tol):
 
 
 def crossing_pairs(curve: DiscreteCurve) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, of properly crossing non-adjacent edges."""
+    """Index pairs (i, j), i < j, of properly crossing non-adjacent edges.
+
+    Crossing edges have overlapping bounding boxes, so only edges that share
+    a cell of a uniform grid are tested: each edge is registered in every
+    cell its bounding box touches, with cells as wide as the largest edge
+    extent. The pairs come sorted by (i, j).
+    """
     pts = curve.points
     m = curve.n - 1  # edge count
     if m < 3:
@@ -282,22 +285,44 @@ def crossing_pairs(curve: DiscreteCurve) -> list[tuple[int, int]]:
     tol = 1e-12 * scale * scale
     a = pts[:-1]
     b = pts[1:]
-    js = np.arange(m)
-    pairs = []
-    # A block of rows i against every edge j, keeping the non-adjacent
-    # partners j >= i + 2; np.nonzero lists the hits row by row.
-    for lo in range(0, m - 2, _CROSSING_ROWS):
-        rows = np.arange(lo, min(lo + _CROSSING_ROWS, m - 2))
-        ai = a[rows, None]
-        bi = b[rows, None]
-        d1 = _orient(ai, bi, a, tol)
-        d2 = _orient(ai, bi, b, tol)
-        d3 = _orient(a, b, ai, tol)
-        d4 = _orient(a, b, bi, tol)
-        hit = (d1 * d2 < 0) & (d3 * d4 < 0) & (js >= rows[:, None] + 2)
-        ii, jj = np.nonzero(hit)
-        pairs.extend(zip((ii + lo).tolist(), jj.tolist()))
-    return pairs
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    cell = float(np.max(hi - lo))
+    first = np.floor(lo / cell).astype(np.int64)
+    span = np.floor(hi / cell).astype(np.int64) - first
+    first -= first.min(axis=0)
+    rows = int(first[:, 1].max() + span[:, 1].max()) + 1
+    edges = np.arange(m)
+    keys, owners = [], []
+    for sx in range(int(span[:, 0].max()) + 1):
+        for sy in range(int(span[:, 1].max()) + 1):
+            inside = (span[:, 0] >= sx) & (span[:, 1] >= sy)
+            keys.append((first[inside, 0] + sx) * rows + first[inside, 1] + sy)
+            owners.append(edges[inside])
+    keys, owners = np.concatenate(keys), np.concatenate(owners)
+    order = np.lexsort((owners, keys))
+    keys, owners = keys[order], owners[order]
+    # Pairs of registrations `gap` apart in the sorted list share a cell when
+    # their keys agree; within a cell the edges are in increasing order.
+    codes = []
+    for gap in range(1, keys.size):
+        same = keys[:-gap] == keys[gap:]
+        if not same.any():
+            break
+        i, j = owners[:-gap][same], owners[gap:][same]
+        apart = j >= i + 2
+        codes.append(i[apart] * m + j[apart])
+    if not codes:
+        return []
+    # Sorted codes i*m + j without repeats (np.unique would import numpy.ma).
+    codes = np.sort(np.concatenate(codes))
+    i, j = np.divmod(codes[np.diff(codes, prepend=-1) > 0], m)
+    d1 = _orient(a[i], b[i], a[j], tol)
+    d2 = _orient(a[i], b[i], b[j], tol)
+    d3 = _orient(a[j], b[j], a[i], tol)
+    d4 = _orient(a[j], b[j], b[i], tol)
+    hit = (d1 * d2 < 0) & (d3 * d4 < 0)
+    return list(zip(i[hit].tolist(), j[hit].tolist()))
 
 
 def self_intersections(curve: DiscreteCurve) -> int:

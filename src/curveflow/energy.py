@@ -36,7 +36,8 @@ through the positions by the chain rule
 
 So is the Hessian (ChartHessian): over the headings it is tridiagonal plus a
 rank-2 semiseparable part, built from O(N) generators, and newton_direction
-solves with it in O(N) by block cyclic reduction.
+solves with it in O(N): dense solves inside chunks of headings, block cyclic
+reduction across the chunks.
 """
 
 import math
@@ -54,7 +55,6 @@ from .polyline import (
     ReducedCoords,
     _chart_points,
     discrete_curvature,
-    rot90,
 )
 
 
@@ -308,7 +308,8 @@ def _objective_hessian(z: np.ndarray, prev: PrevFrame,
     dx_i/dtheta_j = l*p_j, d2x_i/dtheta_j^2 = -l*u_j and
     d2x_i/dl dtheta_j = p_j for j < i. The midpoint of edge e takes half of
     its own heading's motion, which is where the halves below come from.
-    Symmetric 2x2 matrices are stored as their (xx, xy, yy) entries.
+    Works on x and y columns as 1-D arrays, like _objective_raw; symmetric
+    2x2 matrices are kept as their (xx, xy, yy) entries.
     """
     ell = float(z[2])
     n = prev.n
@@ -316,65 +317,87 @@ def _objective_hessian(z: np.ndarray, prev: PrevFrame,
     tau = params.tau
     ux, uy, cx, cy, x, y = _chart_points(z, n)
     ex, ey, mx, my, a, b, _ = _dissipation_terms(x, y, ell, ux, uy, prev)
-    u = np.column_stack([ux, uy])
-    p = rot90(u)
-    csum = np.column_stack([cx, cy])
-    mid = np.column_stack([mx, my])
-    nt = np.column_stack([prev.nx, prev.ny])
-    d = np.array([x[-1] - x[0], y[-1] - y[0]])
-    gap2 = float(d @ d)
+    px, py = -uy, ux
+    nx, ny = prev.nx, prev.ny
+    dx, dy = float(x[-1] - x[0]), float(y[-1] - y[0])
+    gap2 = dx * dx + dy * dy
     k_a = 0.5 * prev.edge_len / tau  # curvature of D/tau in a_e
     k_b = 0.5 * ell / tau            # and in b_e
 
     # Coulomb and the x_N endpoint term act through x_N - x_1 = l * sum u and
     # x_N: their heading block is l^2 p_j^T m_end p_k, of rank 2.
-    m_end = (2.0 / gap2**2) * np.outer(d, d) + (1.0 / tau - 1.0 / gap2) * np.eye(2)
-    pull = np.array([ex[-1], ey[-1]]) / tau - d / gap2
-    sum_u = csum[-1]
+    c_d, c_i = 2.0 / (gap2 * gap2), 1.0 / tau - 1.0 / gap2
+    m_xx, m_xy, m_yy = c_d * dx * dx + c_i, c_d * dx * dy, c_d * dy * dy + c_i
+    pull_x = float(ex[-1]) / tau - dx / gap2
+    pull_y = float(ey[-1]) / tau - dy / gap2
+    su_x, su_y = float(cx[-1]), float(cy[-1])  # sum u
 
-    cm = csum[:-1] + 0.5 * u                  # d mid_e / dl
-    ncm = (nt * cm).sum(axis=1)
-    pcm = (p * cm).sum(axis=1)
-    beta = 0.5 * ell - (mid * u).sum(axis=1)  # d b_e / d theta_e
-    na = nt * (ell * ncm + a)[:, None]
-    nn = np.column_stack([nt[:, 0] ** 2, nt[:, 0] * nt[:, 1], nt[:, 1] ** 2])
-    pp = np.column_stack([p[:, 0] ** 2, p[:, 0] * p[:, 1], p[:, 1] ** 2])
-    # Per-edge terms whose sums over e > j enter heading j, and those sums.
-    per_edge = np.column_stack([
-        k_a * nn + k_b * pp,                                  # grad a_e, b_e squared
-        k_a * a[:, None] * nt + k_b * b[:, None] * p,         # a_e, b_e times their normals
-        k_a * na + k_b * p * (ell * pcm + 2.0 * b)[:, None],  # l-heading terms
-    ])
-    after = _suffix_after(per_edge)
-    q = after[:, :3] + (0.5 * k_a) * nn   # sum_e w_ej (k_a n n^T + k_b p p^T)
-    qp = np.column_stack([q[:, 0] * p[:, 0] + q[:, 1] * p[:, 1],
-                          q[:, 1] * p[:, 0] + q[:, 2] * p[:, 1]])
-    side = k_b * (beta[:, None] * p - b[:, None] * u)
-    pm = p @ m_end
+    cmx = cx[:-1] + 0.5 * ux                  # d mid_e / dl
+    cmy = cy[:-1] + 0.5 * uy
+    ncm = nx * cmx + ny * cmy
+    pcm = px * cmx + py * cmy
+    beta = 0.5 * ell - (mx * ux + my * uy)    # d b_e / d theta_e
+    a_l = ell * ncm + a                       # d (l a_e) / dl
+    nxx, nxy, nyy = nx * nx, nx * ny, ny * ny
+    # Per-edge terms whose sums over e > j enter heading j (rows 0-2: grad
+    # a_e, b_e squared; 3-4: a_e, b_e times their normals; 5-6: l-heading
+    # terms), and those sums, all seven in one pass.
+    m = n - 1
+    per_edge = np.empty((7, m + 1))
+    per_edge[:, -1] = 0.0
+    pb = ell * pcm + 2.0 * b
+    per_edge[0, :-1] = k_a * nxx + k_b * (px * px)
+    per_edge[1, :-1] = k_a * nxy + k_b * (px * py)
+    per_edge[2, :-1] = k_a * nyy + k_b * (py * py)
+    per_edge[3, :-1] = k_a * a * nx + k_b * b * px
+    per_edge[4, :-1] = k_a * a * ny + k_b * b * py
+    per_edge[5, :-1] = k_a * a_l * nx + k_b * pb * px
+    per_edge[6, :-1] = k_a * a_l * ny + k_b * pb * py
+    from_e = np.add.accumulate(per_edge[:, ::-1], axis=1)[:, ::-1]
+    after, total = from_e[:, 1:], from_e[:, 0]
+    q0 = after[0] + (0.5 * k_a) * nxx   # sum_e w_ej (k_a n n^T + k_b p p^T)
+    q1 = after[1] + (0.5 * k_a) * nxy
+    q2 = after[2] + (0.5 * k_a) * nyy
+    qpx = q0 * px + q1 * py
+    qpy = q1 * px + q2 * py
+    side_x = k_b * (beta * px - b * ux)
+    side_y = k_b * (beta * py - b * uy)
+    pmx = px * m_xx + py * m_xy
+    pmy = px * m_xy + py * m_yy
 
-    v = (ell * ell) * (pm + qp) + ell * side
-    np_ = (nt * p).sum(axis=1)
-    diag = (ell * ell) * ((pm * p).sum(axis=1) + (qp * p).sum(axis=1)
+    p = np.empty((m, 2))
+    p[:, 0], p[:, 1] = px, py
+    v = np.empty((m, 2))
+    v[:, 0] = (ell * ell) * (pmx + qpx) + ell * side_x
+    v[:, 1] = (ell * ell) * (pmy + qpy) + ell * side_y
+    np_ = nx * px + ny * py
+    diag = (ell * ell) * ((pmx * px + pmy * py) + (qpx * px + qpy * py)
                           - (0.25 * k_a) * np_ * np_)
-    diag -= ell * (u * (pull + after[:, 3:5] + (0.5 * k_a) * a[:, None] * nt)).sum(axis=1)
+    diag -= ell * (ux * (pull_x + after[3] + (0.5 * k_a) * a * nx)
+                   + uy * (pull_y + after[4] + (0.5 * k_a) * a * ny))
     diag += k_b * (beta * beta - b * b)
 
-    border = np.empty((n - 1, 3))
-    border[:, :2] = ell * (p / tau + qp) + side
-    border[:, 2] = (p * (ell * (sum_u @ m_end) + pull + after[:, 5:]
-                         + (0.5 * k_a) * na)).sum(axis=1)
-    border[:, 2] += k_b * (pcm * beta + b * (0.5 - (cm * u).sum(axis=1))) + (0.5 / tau) * b * beta
+    border = np.empty((m, 3))
+    border[:, 0] = ell * (px / tau + qpx) + side_x
+    border[:, 1] = ell * (py / tau + qpy) + side_y
+    border[:, 2] = (px * (ell * (su_x * m_xx + su_y * m_xy) + pull_x + after[5]
+                          + (0.5 * k_a) * a_l * nx)
+                    + py * (ell * (su_x * m_xy + su_y * m_yy) + pull_y + after[6]
+                            + (0.5 * k_a) * a_l * ny))
+    border[:, 2] += (k_b * (pcm * beta + b * (0.5 - (cmx * ux + cmy * uy)))
+                     + (0.5 / tau) * b * beta)
 
     corner = np.empty((3, 3))
-    w = per_edge[:, :3].sum(axis=0)
-    corner[:2, :2] = [[w[0], w[1]], [w[1], w[2]]]
-    corner[:2, :2] += (2.0 / tau) * np.eye(2)
-    corner[:2, 2] = corner[2, :2] = (
-        sum_u / tau + k_a * (nt * ncm[:, None]).sum(axis=0)
-        + (p * (k_b * pcm + (0.5 / tau) * b)[:, None]).sum(axis=0)
-    )
-    corner[2, 2] = (sum_u @ m_end @ sum_u + k_a * float(ncm @ ncm)
-                    + k_b * float(pcm @ pcm) + float(b @ pcm) / tau)
+    corner[0, 0] = total[0] + 2.0 / tau
+    corner[0, 1] = corner[1, 0] = total[1]
+    corner[1, 1] = total[2] + 2.0 / tau
+    w_cb = k_b * pcm + (0.5 / tau) * b
+    corner[0, 2] = corner[2, 0] = (su_x / tau + k_a * float(nx @ ncm)
+                                   + float(px @ w_cb))
+    corner[1, 2] = corner[2, 1] = (su_y / tau + k_a * float(ny @ ncm)
+                                   + float(py @ w_cb))
+    corner[2, 2] = (su_x * (m_xx * su_x + m_xy * su_y) + su_y * (m_xy * su_x + m_yy * su_y)
+                    + k_a * float(ncm @ ncm) + k_b * float(pcm @ pcm) + float(b @ pcm) / tau)
 
     # Bending: (2 eps / l) * sum tan^2(delta_k / 2), delta_k = theta_{k+1} - theta_k.
     c_bend = 2.0 * params.epsilon / ell
@@ -427,36 +450,128 @@ def block_tridiagonal_solve(lower, diag, upper, rhs):
     return x
 
 
-def newton_direction(hess: ChartHessian, g: np.ndarray) -> np.ndarray:
-    """The Newton direction -H^{-1} g from the generators in O(N).
+# Headings per chunk of the Newton solve: the last one is the chunk's
+# separator, the other _CHUNK - 1 are solved densely. Dense solves up to 64x64
+# gave the same bits under 1 and 2 BLAS threads, 122x122 did not.
+_CHUNK = 32
+
+
+def _heading_solve(hess: ChartHessian, rhs: np.ndarray) -> np.ndarray:
+    """Solve H_theta X = rhs for the heading block of H, rhs of shape (m, r).
 
     With the prefix and suffix states s_j = sum_{k<j} p_k x_k and
     t_j = sum_{k>j} v_k x_k, heading row j of H x reads
-    diag_j x_j + off terms + v_j.s_j + p_j.t_j, so the heading system becomes
-    block-tridiagonal in (x_j, s_j, t_j), 5x5 blocks. It is solved for g and
-    the three border columns at once; a 3x3 Schur complement then closes the
-    (bx, by, l) border. Raises LinAlgError on a singular block.
+    diag_j x_j + off terms + v_j.s_j + p_j.t_j. The headings are cut into
+    chunks of _CHUNK (padded with identity rows), and the last heading of each
+    chunk is its separator. The interior rows of a chunk are a dense system
+    A x_a = r - V S+ - P T+ - off x_sep, with S+ = s + p x at the left
+    separator and T+ = t + v x at the right one; a batched pivoted solve of
+    A against [r | P | V | e_first | e_last] makes every interior an affine
+    function of its two separators. What the separator rows read of the
+    interiors then leaves a block-tridiagonal system in the separators'
+    (s, x, t), 5x5 blocks, solved by block_tridiagonal_solve. Raises
+    LinAlgError on a singular interior system or block.
     """
-    m = hess.diag.size
+    m, n_rhs = rhs.shape
+    k = -(-m // _CHUNK)
+    inner = _CHUNK - 1
+    diag = np.ones(k * _CHUNK)
+    diag[:m] = hess.diag
+    off = np.zeros(k * _CHUNK)  # off[j] couples headings j and j + 1
+    off[:m - 1] = hess.off
+    pv = np.zeros((k * _CHUNK, 4))
+    pv[:m, :2] = hess.p
+    pv[:m, 2:] = hess.v
+    r = np.zeros((k * _CHUNK, n_rhs))
+    r[:m] = rhs
+    diag, off = diag.reshape(k, _CHUNK), off.reshape(k, _CHUNK)
+    pv, r = pv.reshape(k, _CHUNK, 4), r.reshape(k, _CHUNK, n_rhs)
+    p_sep, v_sep = pv[:, -1, :2], pv[:, -1, 2:]
+    p_left = np.zeros((k, 2))  # p at the left separator, 0 for chunk 0
+    p_left[1:] = p_sep[:-1]
+    o_left = np.zeros(k)       # off between the left separator and interior 0
+    o_left[1:] = off[:-1, -1]
+    o_right = off[:, -2]       # off between the last interior and the separator
+
+    # A = diag + off + triu(P V^T, 1) + its transpose, per chunk.
+    p_in, v_in = pv[:, :-1, :2], pv[:, :-1, 2:]
+    pvt = p_in @ v_in.transpose(0, 2, 1)
+    a = np.where(np.tri(inner, dtype=bool), pvt.transpose(0, 2, 1), pvt)
+    flat = a.reshape(k, -1)
+    flat[:, ::inner + 1] = diag[:, :-1]
+    flat[:, 1::inner + 1] += off[:, :-2]
+    flat[:, inner::inner + 1] += off[:, :-2]
+    cols = np.zeros((k, inner, n_rhs + 6))
+    cols[:, :, :n_rhs] = r[:, :-1]
+    cols[:, :, n_rhs:n_rhs + 4] = pv[:, :-1]
+    cols[:, 0, -2] = cols[:, -1, -1] = 1.0
+    sol = np.linalg.solve(a, cols)
+
+    # Separator c reads chunk c through rows 0-4 of `read` (its s equation
+    # takes -P^T x_a, its heading row off x at the last interior) and
+    # chunk c + 1 through rows 5-9 (off x at the first interior, and its
+    # t equation -V^T x_a). As x_a = X_r - X_V S+ - X_P T+ - off X_f x_left
+    # - off X_l x_right, the reads are affine in the separators' states.
+    read = np.zeros((k, inner, 10))
+    read[:, :, :2] = -p_in
+    read[:, -1, 2] = o_right
+    read[:, 0, 7] = o_left
+    read[:, :, 8:] = -v_in
+    y = read.transpose(0, 2, 1) @ sol
+    y_r, y_p, y_v = y[:, :, :n_rhs], y[:, :, n_rhs:n_rhs + 2], y[:, :, n_rhs + 2:n_rhs + 4]
+    on_left = np.empty((k, 10, 3))   # on (s, x) of the left separator
+    on_left[:, :, :2] = y_v
+    on_left[:, :, 2] = (y_v @ p_left[:, :, None])[:, :, 0] + o_left[:, None] * y[:, :, -2]
+    on_right = np.empty((k, 10, 3))  # on (x, t) of the right separator
+    on_right[:, :, 0] = (y_p @ v_sep[:, :, None])[:, :, 0] + o_right[:, None] * y[:, :, -1]
+    on_right[:, :, 1:] = y_p
+
+    # Separator rows: s_c - S+_c, the heading row, and t_c - T+_{c+1}.
     eye = np.eye(2)
-    diag = np.zeros((m, 5, 5))
-    diag[:, 0, 0] = hess.diag
-    diag[:, 0, 1:3] = hess.v
-    diag[:, 0, 3:5] = hess.p
-    diag[:, 1:3, 1:3] = eye
-    diag[:, 3:5, 3:5] = eye
-    lower = np.zeros((m, 5, 5))  # s_j - s_{j-1} - p_{j-1} x_{j-1} = 0
-    lower[1:, 0, 0] = hess.off
-    lower[1:, 1:3, 0] = -hess.p[:-1]
-    lower[1:, 1:3, 1:3] = -eye
-    upper = np.zeros((m, 5, 5))  # t_j - t_{j+1} - v_{j+1} x_{j+1} = 0
-    upper[:-1, 0, 0] = hess.off
-    upper[:-1, 3:5, 0] = -hess.v[1:]
-    upper[:-1, 3:5, 3:5] = -eye
-    rhs = np.zeros((m, 5, 4))
-    rhs[:, 0, 0] = g[3:]
-    rhs[:, 0, 1:] = hess.border
-    sol = block_tridiagonal_solve(lower, diag, upper, rhs)[:, 0, :]
+    lower = np.zeros((k, 5, 5))
+    lower[:, :, :3] = -on_left[:, :5]
+    lower[:, :2, :2] -= eye
+    lower[:, :2, 2] -= p_left
+    block = np.zeros((k, 5, 5))
+    block[:, :2, :2] = block[:, 3:, 3:] = eye
+    block[:, 2, :2] = v_sep
+    block[:, 2, 2] = diag[:, -1]
+    block[:, 2, 3:] = p_sep
+    block[:, :, 2:] -= on_right[:, :5]
+    block[:-1, :, :3] -= on_left[1:, 5:]
+    upper = np.zeros((k, 5, 5))
+    upper[:-1, :, 2:] = -on_right[1:, 5:]
+    upper[:-1, 3:, 2] -= v_sep[1:]
+    upper[:-1, 3:, 3:] -= eye
+    f = -y_r[:, :5]
+    f[:-1] -= y_r[1:, 5:]
+    f[:, 2] += r[:, -1]
+    z = block_tridiagonal_solve(lower, block, upper, f)
+
+    # Back to the interiors: x_a = X_r - [X_P | X_V | X_f | X_l] @ plus.
+    plus = np.zeros((k, 6, n_rhs))
+    plus[:, :2] = z[:, 3:] + v_sep[:, :, None] * z[:, None, 2]
+    plus[1:, 2:4] = z[:-1, :2] + p_sep[:-1, :, None] * z[:-1, None, 2]
+    plus[1:, 4] = o_left[1:, None] * z[:-1, 2]
+    plus[:, 5] = o_right[:, None] * z[:, 2]
+    x = np.empty((k, _CHUNK, n_rhs))
+    x[:, :-1] = sol[:, :, :n_rhs] - sol[:, :, n_rhs:] @ plus
+    x[:, -1] = z[:, 2]
+    return x.reshape(-1, n_rhs)[:m]
+
+
+def newton_direction(hess: ChartHessian, g: np.ndarray) -> np.ndarray:
+    """The Newton direction -H^{-1} g from the generators in O(N).
+
+    The heading block is solved (_heading_solve) for g and the three border
+    columns at once; a 3x3 Schur complement then closes the (bx, by, l)
+    border. No LAPACK call is larger than one (_CHUNK - 1)-square chunk.
+    Raises LinAlgError on a singular chunk or block.
+    """
+    rhs = np.empty((hess.diag.size, 4))
+    rhs[:, 0] = g[3:]
+    rhs[:, 1:] = hess.border
+    sol = _heading_solve(hess, rhs)
     x_g, x_b = sol[:, 0], sol[:, 1:]
     schur = hess.corner - (hess.border[:, :, None] * x_b[:, None, :]).sum(axis=0)
     y = np.linalg.solve(schur, g[:3] - (hess.border * x_g[:, None]).sum(axis=0))

@@ -10,6 +10,7 @@ consecutive curves. Any violation raises BoundViolation with the offending
 numbers.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +42,8 @@ class FlowConfig:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.stop_tol is not None and not (self.stop_tol > 0):
-            raise ValueError("stop_tol must be positive")
+        if self.stop_tol is not None and not (0.0 < self.stop_tol < math.inf):
+            raise ValueError(f"stop_tol must be positive and finite, got {self.stop_tol}")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
 

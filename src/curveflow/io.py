@@ -19,11 +19,11 @@ SVG_WIDTH = 600.0
 
 
 def _rows(traj: Trajectory):
-    """Per snapshot: step, its vertices as (x, y) pairs, t, l, E, length and
-    gap, every number a Python float; one snapshot is converted at a time."""
+    """Per snapshot: step, its vertex coordinates x_1, y_1, x_2, y_2, ...,
+    t, l, E, length and gap, every number a Python float; one snapshot is
+    converted at a time."""
     for step, curve in zip(traj.snapshot_steps, traj.snapshots):
-        xs, ys = curve.points.T.tolist()
-        yield (step, zip(xs, ys), step * traj.tau, curve.edge_len,
+        yield (step, tuple(curve.points.ravel().tolist()), step * traj.tau, curve.edge_len,
                float(traj.energies[step]), float(traj.lengths[step]),
                float(traj.gaps[step]))
 
@@ -35,20 +35,22 @@ def write_trajectory(traj: Trajectory, path: str, fmt: str = "jsonl") -> None:
     csv:   long format "step,i,x,y" plus a sidecar "<path>.scalars.csv" with
            per-snapshot scalars.
     """
+    # The points of every snapshot go through one %-template built for N.
+    n = traj.snapshots[0].n
     if fmt == "jsonl":
+        points = ",".join(["[%.17g,%.17g]"] * n)
         with open(path, "w") as fh:
-            for _, pts, t, ell, e, length, gap in _rows(traj):
-                coords = ",".join(f"[{x:.17g},{y:.17g}]" for x, y in pts)
-                fh.write(f'{{"t":{t:.17g},"l":{ell:.17g},"points":[{coords}],'
+            for _, coords, t, ell, e, length, gap in _rows(traj):
+                fh.write(f'{{"t":{t:.17g},"l":{ell:.17g},"points":[{points % coords}],'
                          f'"E":{e:.17g},"length":{length:.17g},"gap":{gap:.17g}}}\n')
         return
     if fmt == "csv":
+        points = "".join(f"{{step}},{i},%.17g,%.17g\n" for i in range(n))
         with open(path, "w") as fh, open(path + ".scalars.csv", "w") as side:
             fh.write("step,i,x,y\n")
             side.write("step,t,l,E,length,gap\n")
-            for step, pts, t, ell, e, length, gap in _rows(traj):
-                fh.write("".join(f"{step},{i},{x:.17g},{y:.17g}\n"
-                                 for i, (x, y) in enumerate(pts)))
+            for step, coords, t, ell, e, length, gap in _rows(traj):
+                fh.write(points.replace("{step}", str(step)) % coords)
                 side.write(f"{step},{t:.17g},{ell:.17g},{e:.17g},"
                            f"{length:.17g},{gap:.17g}\n")
         return

@@ -4,10 +4,12 @@ The equal-edge constraint is eliminated by the (base, l, headings) chart, so
 the step is an unconstrained smooth minimization on an open set: l > 0, the
 endpoint gap above a small floor (the log barrier keeps the region open), and
 no anti-parallel edge pairs. Each step starts with an L-BFGS iteration, its
-history kept in compact form (see _History). Most steps converge within
-_NEWTON_AFTER iterations; a stiff one that has not finishes with exact Newton
-directions from the O(N) structured Hessian solve (energy.newton_direction),
-with a first trial of alpha = 1. Every direction goes through the same Armijo
+history kept in compact form (see _History). A stiff step goes on with exact
+Newton directions from the O(N) structured Hessian solve
+(energy.newton_direction), with a first trial of alpha = 1, once L-BFGS
+stalls: at the first iterate whose gradient inf-norm is not below the
+previous iterate's, or after _NEWTON_AFTER iterations. Most steps converge
+before either. Every direction goes through the same Armijo
 backtracking (Nocedal and Wright, Numerical Optimization, 2nd ed., sec. 3.5).
 A finite trial that fails takes the next alpha from the minimizer of the
 quadratic through f, g.d and the trial's F, kept within [0.1, 0.5] times
@@ -55,8 +57,9 @@ _MAX_BACKTRACKS = 60
 _FLOOR = 1e-12
 
 # A step still unconverged after this many L-BFGS iterations goes on with
-# Newton directions; so the L-BFGS history never holds more pairs than this.
-# Segment steps take at most 6 iterations, stiff gamma steps 45-135 L-BFGS ones.
+# Newton directions, if no iterate has stalled before; so the L-BFGS history
+# never holds more pairs than this. Segment steps take at most 6 iterations,
+# stiff gamma steps 45-135 L-BFGS ones.
 _NEWTON_AFTER = 10
 
 # Iteration cap per step.
@@ -216,6 +219,8 @@ def minimize_step(
 
     history = _History(n + 2)
     iterations = n_newton = n_backtracks = 0
+    newton_phase = False
+    grad_prev_inf = math.inf  # of the iterate before the current one
 
     while True:
         grad_z_inf = float(np.max(np.abs(g / scale)))
@@ -226,7 +231,9 @@ def minimize_step(
             stop_reason = "cap"
             break
 
-        newton_phase = iterations >= _NEWTON_AFTER
+        # L-BFGS has stalled once an iterate fails to lower the gradient.
+        newton_phase = (newton_phase or iterations >= _NEWTON_AFTER
+                        or grad_z_inf >= grad_prev_inf)
         if newton_phase:
             history.clear()
             d = newton(w, g)
@@ -282,6 +289,7 @@ def minimize_step(
                 history.append(s_vec, y_vec, sy)
 
         w, f, g = w_trial, f_trial, g_trial
+        grad_prev_inf = grad_z_inf
         iterations += 1
         n_newton += took_newton
 

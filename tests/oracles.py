@@ -5,11 +5,12 @@ flow is a scalar root-finding recursion, intersections are brute-force pair
 checks, arclength is dense piecewise-linear quadrature, and derivative checks
 are plain central differences. The L-BFGS two-loop recursion and the
 crossing search over one edge at a time are the simple forms of the
-package's compact-form history and blocked crossing search. The dense
-Hessian, written out entry by entry from its generators, is the reference
-for the structured Newton solve. The objective kernel in its earlier
-row form, over (N, 2) point arrays, is the reference for the column-form
-``_objective_raw``. The residuals of one recorded step,
+package's compact-form history and grid-filtered crossing search. The
+dense Hessian, written out entry by entry from its generators, is the
+reference for the structured Newton solve. The objective kernel and the
+Hessian generators in their earlier row form, over (N, 2) point arrays, are
+the references for the column-form ``_objective_raw`` and
+``_objective_hessian``. The residuals of one recorded step,
 computed in three independent parts that each re-evaluate the velocity,
 curvature and tangents they need, are the reference for the one-pass
 ``full_residual_report``.
@@ -341,3 +342,92 @@ def row_form_objective(z: np.ndarray, prev, params, want_grad: bool):
         grad[4:] += c_bend * w
     grad[3:] -= (0.5 * ell / tau) * b * (mid * u).sum(axis=1)
     return f_val, grad
+
+
+def row_form_hessian(z: np.ndarray, prev, params):
+    """Generators (diag, off, p, v, border, corner) of the chart Hessian of F
+    at z against the PrevFrame ``prev``, assembled over (N-1, 2) edge
+    arrays with per-edge suffix sums taken row-wise: the earlier form of
+    ``_objective_hessian``."""
+    ell = float(z[2])
+    n = prev.n
+    theta = z[3:]
+    tau = params.tau
+    u = np.column_stack([np.cos(theta), np.sin(theta)])
+    p = rot90(u)
+    csum = np.zeros((n, 2))  # csum[i] = sum_{j<i} u_j
+    np.cumsum(u, axis=0, out=csum[1:])
+    pts = z[:2] + ell * csum
+    disp = pts - np.column_stack([prev.x, prev.y])
+    mid = 0.5 * (disp[:-1] + disp[1:])
+    nt = np.column_stack([prev.nx, prev.ny])
+    a = (mid * nt).sum(axis=1)
+    b = (mid * p).sum(axis=1)
+    d = pts[-1] - pts[0]
+    gap2 = float(d @ d)
+    k_a = 0.5 * prev.edge_len / tau  # curvature of D/tau in a_e
+    k_b = 0.5 * ell / tau            # and in b_e
+
+    # Coulomb and the x_N endpoint term act through x_N - x_1 = l * sum u and
+    # x_N: their heading block is l^2 p_j^T m_end p_k, of rank 2.
+    m_end = (2.0 / gap2**2) * np.outer(d, d) + (1.0 / tau - 1.0 / gap2) * np.eye(2)
+    pull = disp[-1] / tau - d / gap2
+    sum_u = csum[-1]
+
+    cm = csum[:-1] + 0.5 * u                  # d mid_e / dl
+    ncm = (nt * cm).sum(axis=1)
+    pcm = (p * cm).sum(axis=1)
+    beta = 0.5 * ell - (mid * u).sum(axis=1)  # d b_e / d theta_e
+    na = nt * (ell * ncm + a)[:, None]
+    nn = np.column_stack([nt[:, 0] ** 2, nt[:, 0] * nt[:, 1], nt[:, 1] ** 2])
+    pp = np.column_stack([p[:, 0] ** 2, p[:, 0] * p[:, 1], p[:, 1] ** 2])
+    # Per-edge terms whose sums over e > j enter heading j, and those sums.
+    per_edge = np.column_stack([
+        k_a * nn + k_b * pp,                                  # grad a_e, b_e squared
+        k_a * a[:, None] * nt + k_b * b[:, None] * p,         # a_e, b_e times their normals
+        k_a * na + k_b * p * (ell * pcm + 2.0 * b)[:, None],  # l-heading terms
+    ])
+    after = np.zeros_like(per_edge)
+    after[:-1] = np.cumsum(per_edge[:0:-1], axis=0)[::-1]
+    q = after[:, :3] + (0.5 * k_a) * nn   # sum_e w_ej (k_a n n^T + k_b p p^T)
+    qp = np.column_stack([q[:, 0] * p[:, 0] + q[:, 1] * p[:, 1],
+                          q[:, 1] * p[:, 0] + q[:, 2] * p[:, 1]])
+    side = k_b * (beta[:, None] * p - b[:, None] * u)
+    pm = p @ m_end
+
+    v = (ell * ell) * (pm + qp) + ell * side
+    np_ = (nt * p).sum(axis=1)
+    diag = (ell * ell) * ((pm * p).sum(axis=1) + (qp * p).sum(axis=1)
+                          - (0.25 * k_a) * np_ * np_)
+    diag -= ell * (u * (pull + after[:, 3:5] + (0.5 * k_a) * a[:, None] * nt)).sum(axis=1)
+    diag += k_b * (beta * beta - b * b)
+
+    border = np.empty((n - 1, 3))
+    border[:, :2] = ell * (p / tau + qp) + side
+    border[:, 2] = (p * (ell * (sum_u @ m_end) + pull + after[:, 5:]
+                         + (0.5 * k_a) * na)).sum(axis=1)
+    border[:, 2] += k_b * (pcm * beta + b * (0.5 - (cm * u).sum(axis=1))) + (0.5 / tau) * b * beta
+
+    corner = np.empty((3, 3))
+    w = per_edge[:, :3].sum(axis=0)
+    corner[:2, :2] = [[w[0], w[1]], [w[1], w[2]]]
+    corner[:2, :2] += (2.0 / tau) * np.eye(2)
+    corner[:2, 2] = corner[2, :2] = (
+        sum_u / tau + k_a * (nt * ncm[:, None]).sum(axis=0)
+        + (p * (k_b * pcm + (0.5 / tau) * b)[:, None]).sum(axis=0)
+    )
+    corner[2, 2] = (sum_u @ m_end @ sum_u + k_a * float(ncm @ ncm)
+                    + k_b * float(pcm @ pcm) + float(b @ pcm) / tau)
+
+    # Bending: (2 eps / l) * sum tan^2(delta_k / 2), delta_k = theta_{k+1} - theta_k.
+    c_bend = 2.0 * params.epsilon / ell
+    t_half = np.tan(0.5 * (theta[1:] - theta[:-1]))
+    t2 = t_half * t_half
+    h = 0.5 * c_bend * (1.0 + 3.0 * t2) * (1.0 + t2)
+    diag[:-1] += h
+    diag[1:] += h
+    w_l = (c_bend / ell) * t_half * (1.0 + t2)
+    border[:-1, 2] += w_l
+    border[1:, 2] -= w_l
+    corner[2, 2] += 2.0 * c_bend * float(t2.sum()) / (ell * ell)
+    return diag, -h, p, v, border, corner

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -204,8 +206,8 @@ def test_self_intersections_random_matches_brute_force():
 
 
 def test_crossing_pairs_match_edge_by_edge_search():
-    # Blocks of rows against every partner list the same pairs in the same
-    # order as the search over one edge at a time, also past one block.
+    # The grid-filtered search lists the same pairs in the same order as the
+    # search over one edge at a time.
     curves = [make_scenario(Scenario(kind=kind, n=n))
               for kind in ("gamma", "asym_gamma", "sinus", "segment") for n in (5, 120)]
     rng = np.random.default_rng(44)
@@ -219,6 +221,25 @@ def test_crossing_pairs_match_edge_by_edge_search():
         pairs = crossing_pairs(c)
         assert pairs == crossing_pairs_by_rows(c.points, _orient)
         found += len(pairs)
+    assert found > 50
+
+
+def test_crossing_pairs_match_brute_force_on_unequal_edges():
+    # The grid cells are as wide as the longest edge, so short edges share a
+    # cell with many others. The search reads only the points and N, which
+    # lets it run on walks that are not equal-edge curves.
+    rng = np.random.default_rng(45)
+    found = 0
+    for n in (4, 17, 40, 90, 200):
+        for _ in range(5):
+            headings = np.cumsum(rng.uniform(-2.5, 2.5, n - 1))
+            steps = rng.uniform(0.05, 2.0, (n - 1, 1)) * np.column_stack(
+                [np.cos(headings), np.sin(headings)])
+            pts = np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])
+            pairs = crossing_pairs(SimpleNamespace(points=pts, n=n))
+            assert pairs == crossing_pairs_by_rows(pts, _orient)
+            assert len(pairs) == brute_force_crossings(pts)
+            found += len(pairs)
     assert found > 50
 
 

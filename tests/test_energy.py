@@ -29,6 +29,7 @@ from oracles import (
     central_difference,
     dense_chart_hessian,
     random_open_curve,
+    row_form_hessian,
     row_form_objective,
 )
 
@@ -331,7 +332,7 @@ def test_gradient_rotation_direction_at_straight_curve():
     assert derivs[0] == pytest.approx(derivs[2], rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 51])
+@pytest.mark.parametrize("n", [2, 3, 5, 32, 33, 34, 51, 64, 65, 66, 120, 481])
 def test_newton_direction_matches_dense_solve(n):
     rng = np.random.default_rng(100 + n)
     base, edge_len, headings = random_open_curve(rng, n)
@@ -350,6 +351,24 @@ def test_newton_direction_matches_dense_solve(n):
     expected = -np.linalg.solve(dense, grad)
     np.testing.assert_allclose(newton_direction(hess, grad), expected, rtol=1e-10,
                                atol=1e-10 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 51, 120, 481])
+def test_hessian_generators_match_row_form(n):
+    rng = np.random.default_rng(300 + n)
+    base, edge_len, headings = random_open_curve(rng, n)
+    frame = PrevFrame(from_reduced(ReducedCoords(base, edge_len, headings)))
+    z = np.concatenate([
+        base + rng.uniform(-0.03, 0.03, 2),
+        [edge_len * rng.uniform(0.95, 1.05)],
+        headings + rng.uniform(-0.08, 0.08, n - 1),
+    ])
+    for got, ref in zip(_objective_hessian(z, frame, PARAMS),
+                        row_form_hessian(z, frame, PARAMS)):
+        assert got.shape == ref.shape
+        if ref.size:
+            np.testing.assert_allclose(got, ref, rtol=0,
+                                       atol=1e-14 * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("n_blocks", [1, 2, 7, 8, 33])

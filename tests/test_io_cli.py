@@ -484,6 +484,17 @@ def test_cli_non_finite_parameter_exits_one(tmp_path, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_cli_non_finite_stop_tol_exits_one(tmp_path, capsys, value):
+    # Every vertex speed is below an infinite stop tolerance, which would end
+    # the run after its first step.
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", "segment", "--stop-tol", value, "--out", str(out)])
+    assert code == 1
+    assert "stop_tol must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_resample_coincident_points_exits_one(tmp_path):
     src = tmp_path / "in.txt"
     np.savetxt(src, [(1.0, 2.0)] * 4)

@@ -321,14 +321,46 @@ def test_first_flow_steps_converge(name):
     assert [r.stop_reason for r in traj.reports] == ["converged"] * 10
 
 
-def test_stiff_steps_finish_with_newton_and_easy_steps_never_switch():
+def test_stiff_steps_finish_with_newton_and_easy_steps_never_switch(monkeypatch):
+    # A step switches to Newton at its first L-BFGS iterate whose gradient
+    # inf-norm is not below the previous iterate's, or after _NEWTON_AFTER
+    # iterations. Each direction sees the gradient of its iterate (L-BFGS in
+    # the scaled variables, whose l slot carries a factor 1/(N-1)).
+    seen = []
+    lbfgs_direction = curveflow.minimize._History.direction
+    real_newton = curveflow.minimize.newton_direction
+
+    def direction(self, g):
+        seen.append(("lbfgs", max(np.max(np.abs(g[:2])), abs(g[2]) * (n - 1),
+                                  np.max(np.abs(g[3:])))))
+        return lbfgs_direction(self, g)
+
+    def newton(hess, g):
+        seen.append(("newton", np.max(np.abs(g))))
+        return real_newton(hess, g)
+
+    monkeypatch.setattr(curveflow.minimize._History, "direction", direction)
+    monkeypatch.setattr(curveflow.minimize, "newton_direction", newton)
     preset = PRESETS["gamma"]
-    traj = run_flow(make_scenario(preset.scenario),
-                    FlowConfig(params=preset.params, n_steps=3))
-    for rep in traj.reports:
+    prev = make_scenario(preset.scenario)
+    n = prev.n
+    stalled = 0
+    for _ in range(3):
+        seen.clear()
+        prev, rep = minimize_step(prev, preset.params)
         assert rep.converged
         assert rep.n_newton > 0
-        assert rep.iterations - rep.n_newton == curveflow.minimize._NEWTON_AFTER
+        lbfgs = [norm for kind, norm in seen[:rep.iterations - rep.n_newton]]
+        assert [kind for kind, _ in seen] == (
+            ["lbfgs"] * len(lbfgs) + ["newton"] * rep.n_newton)
+        assert all(later < earlier for earlier, later in zip(lbfgs, lbfgs[1:]))
+        switch_norm = seen[len(lbfgs)][1]
+        if len(lbfgs) < curveflow.minimize._NEWTON_AFTER:
+            assert switch_norm >= lbfgs[-1]
+            stalled += 1
+        else:
+            assert len(lbfgs) == curveflow.minimize._NEWTON_AFTER
+    assert stalled > 0
     preset = PRESETS["segment"]
     traj = run_flow(make_scenario(preset.scenario),
                     FlowConfig(params=preset.params, n_steps=20))
