@@ -36,8 +36,8 @@ through the positions by the chain rule
 
 So is the Hessian (ChartHessian): over the headings it is tridiagonal plus a
 rank-2 semiseparable part, built from O(N) generators, and newton_direction
-solves with it in O(N): dense solves inside chunks of headings, block cyclic
-reduction across the chunks.
+solves with it in O(N): one block-LU sweep over chunks of headings, each
+lifted with the prefix and suffix sums that couple it to the others.
 """
 
 import math
@@ -413,46 +413,9 @@ def _objective_hessian(z: np.ndarray, prev: PrevFrame,
     return ChartHessian(diag, -h, p, v, border, corner)
 
 
-def block_tridiagonal_solve(lower, diag, upper, rhs):
-    """Solve a block-tridiagonal system by cyclic reduction (Heller 1976,
-    SIAM J. Numer. Anal. 13).
-
-    Block row j reads lower[j] x[j-1] + diag[j] x[j] + upper[j] x[j+1] = rhs[j]
-    (lower[0] and upper[-1] are ignored); the blocks are (n, s, s) and rhs is
-    (n, s, r). Each level eliminates the odd blocks with one batched s x s
-    inverse and recurses on the even ones, so no LAPACK call is larger than
-    one block. No pivoting across blocks: a singular block raises LinAlgError.
-    """
-    n, size = diag.shape[0], diag.shape[1]
-    if n == 1:
-        return np.linalg.solve(diag, rhs)
-    n_odd, k = n // 2, (n - 1) // 2
-    # Odd block i (row 2i+1) is x = e_f - e_lo x[2i] - e_up x[2i+2], with
-    # [e_lo | e_up | e_f] = diag^-1 [lower | upper | rhs] of that row.
-    elim = np.linalg.inv(diag[1::2]) @ np.concatenate(
-        [lower[1::2], upper[1::2], rhs[1::2]], axis=2)
-    e_lo, e_up, e_f = elim[:, :, :size], elim[:, :, size:2 * size], elim[:, :, 2 * size:]
-    lo, up = lower[0::2].copy(), upper[0::2].copy()
-    di, f = diag[0::2].copy(), rhs[0::2].copy()
-    left = lo[1:] @ elim[:k]       # even rows 2.. and their left odd neighbour
-    lo[1:] = -left[:, :, :size]
-    di[1:] -= left[:, :, size:2 * size]
-    f[1:] -= left[:, :, 2 * size:]
-    right = up[:n_odd] @ elim      # even rows with an odd right neighbour
-    di[:n_odd] -= right[:, :, :size]
-    up[:n_odd] = -right[:, :, size:2 * size]
-    f[:n_odd] -= right[:, :, 2 * size:]
-    x_even = block_tridiagonal_solve(lo, di, up, f)
-    x = np.empty_like(rhs)
-    x[0::2] = x_even
-    x[1::2] = e_f - e_lo @ x_even[:n_odd]
-    x[1:2 * k:2] -= e_up[:k] @ x_even[1:]
-    return x
-
-
-# Headings per chunk of the Newton solve: the last one is the chunk's
-# separator, the other _CHUNK - 1 are solved densely. Dense solves up to 64x64
-# gave the same bits under 1 and 2 BLAS threads, 122x122 did not.
+# Headings per chunk of the Newton solve. The sweep's largest LAPACK call is
+# one (_CHUNK + 4)-square block: dense solves up to 64x64 gave the same bits
+# under 1 and 2 BLAS threads, 122x122 did not.
 _CHUNK = 32
 
 
@@ -462,102 +425,70 @@ def _heading_solve(hess: ChartHessian, rhs: np.ndarray) -> np.ndarray:
     With the prefix and suffix states s_j = sum_{k<j} p_k x_k and
     t_j = sum_{k>j} v_k x_k, heading row j of H x reads
     diag_j x_j + off terms + v_j.s_j + p_j.t_j. The headings are cut into
-    chunks of _CHUNK (padded with identity rows), and the last heading of each
-    chunk is its separator. The interior rows of a chunk are a dense system
-    A x_a = r - V S+ - P T+ - off x_sep, with S+ = s + p x at the left
-    separator and T+ = t + v x at the right one; a batched pivoted solve of
-    A against [r | P | V | e_first | e_last] makes every interior an affine
-    function of its two separators. What the separator rows read of the
-    interiors then leaves a block-tridiagonal system in the separators'
-    (s, x, t), 5x5 blocks, solved by block_tridiagonal_solve. Raises
-    LinAlgError on a singular interior system or block.
+    chunks of _CHUNK (padded with identity rows). Chunk c carries the state
+    S_c before it and T_c after it, so its unknowns (S_c, x_c, T_c) meet the
+    neighbouring chunks only through S_c = S_{c-1} + P_{c-1}^T x_{c-1},
+    T_c = T_{c+1} + V_{c+1}^T x_{c+1} and the two off entries across the
+    cut: the system is block tridiagonal, and each off-diagonal block has
+    three nonzero rows. One block-LU sweep solves it: forward, each chunk's
+    block takes a 3-row update from the previous chunk and gets one pivoted
+    solve; backward, each chunk reads three interface values of the next.
+    No pivoting across chunks: raises LinAlgError on a singular block.
     """
     m, n_rhs = rhs.shape
     k = -(-m // _CHUNK)
-    inner = _CHUNK - 1
-    diag = np.ones(k * _CHUNK)
-    diag[:m] = hess.diag
-    off = np.zeros(k * _CHUNK)  # off[j] couples headings j and j + 1
-    off[:m - 1] = hess.off
-    pv = np.zeros((k * _CHUNK, 4))
-    pv[:m, :2] = hess.p
-    pv[:m, 2:] = hess.v
-    r = np.zeros((k * _CHUNK, n_rhs))
-    r[:m] = rhs
-    diag, off = diag.reshape(k, _CHUNK), off.reshape(k, _CHUNK)
-    pv, r = pv.reshape(k, _CHUNK, 4), r.reshape(k, _CHUNK, n_rhs)
-    p_sep, v_sep = pv[:, -1, :2], pv[:, -1, 2:]
-    p_left = np.zeros((k, 2))  # p at the left separator, 0 for chunk 0
-    p_left[1:] = p_sep[:-1]
-    o_left = np.zeros(k)       # off between the left separator and interior 0
-    o_left[1:] = off[:-1, -1]
-    o_right = off[:, -2]       # off between the last interior and the separator
+    # Generators and right-hand sides, padded to whole chunks with identity
+    # rows; off[j] couples headings j and j + 1.
+    gen = np.zeros((k * _CHUNK, 6 + n_rhs))
+    gen[:, 0] = 1.0
+    gen[:m, 0], gen[:m - 1, 1], gen[:m, 6:] = hess.diag, hess.off, rhs
+    gen[:m, 2:4], gen[:m, 4:6] = hess.p, hess.v
+    gen = gen.reshape(k, _CHUNK, -1)
+    diag, off, p, v = gen[:, :, 0], gen[:, :, 1], gen[:, :, 2:4], gen[:, :, 4:6]
 
-    # A = diag + off + triu(P V^T, 1) + its transpose, per chunk.
-    p_in, v_in = pv[:, :-1, :2], pv[:, :-1, 2:]
-    pvt = p_in @ v_in.transpose(0, 2, 1)
-    a = np.where(np.tri(inner, dtype=bool), pvt.transpose(0, 2, 1), pvt)
-    flat = a.reshape(k, -1)
-    flat[:, ::inner + 1] = diag[:, :-1]
-    flat[:, 1::inner + 1] += off[:, :-2]
-    flat[:, inner::inner + 1] += off[:, :-2]
-    cols = np.zeros((k, inner, n_rhs + 6))
-    cols[:, :, :n_rhs] = r[:, :-1]
-    cols[:, :, n_rhs:n_rhs + 4] = pv[:, :-1]
-    cols[:, 0, -2] = cols[:, -1, -1] = 1.0
-    sol = np.linalg.solve(a, cols)
+    # Diagonal blocks over (S, x, T): diag + off + triu(P V^T, 1) and its
+    # transpose, with V next to S and P next to T, and identity rows for S, T.
+    size = _CHUNK + 4
+    block = np.zeros((k, size, size))
+    pvt = p @ v.transpose(0, 2, 1)
+    block[:, 2:-2, 2:-2] = np.where(np.tri(_CHUNK, dtype=bool),
+                                    pvt.transpose(0, 2, 1), pvt)
+    i = np.arange(2, size - 2)
+    block[:, i, i] = diag
+    block[:, i[:-1], i[1:]] += off[:, :-1]
+    block[:, i[1:], i[:-1]] += off[:, :-1]
+    block[:, 2:-2, :2] = v
+    block[:, 2:-2, -2:] = p
+    block[:, :2, :2] = block[:, -2:, -2:] = np.eye(2)
+    # Rows (S_c, x_c first) on chunk c - 1, and rows (x_c last, T_c) on
+    # chunk c + 1; low[0] and up[-1] are unused.
+    low = np.zeros((k, 3, size))
+    low[1:, :2, :2] = -np.eye(2)
+    low[1:, :2, 2:-2] = -p[:-1].transpose(0, 2, 1)
+    low[1:, 2, -3] = off[:-1, -1]
+    up = np.zeros((k, 3, size))
+    up[:-1, 0, 2] = off[:-1, -1]
+    up[:-1, 1:, 2:-2] = -v[1:].transpose(0, 2, 1)
+    up[:-1, 1:, -2:] = -np.eye(2)
 
-    # Separator c reads chunk c through rows 0-4 of `read` (its s equation
-    # takes -P^T x_a, its heading row off x at the last interior) and
-    # chunk c + 1 through rows 5-9 (off x at the first interior, and its
-    # t equation -V^T x_a). As x_a = X_r - X_V S+ - X_P T+ - off X_f x_left
-    # - off X_l x_right, the reads are affine in the separators' states.
-    read = np.zeros((k, inner, 10))
-    read[:, :, :2] = -p_in
-    read[:, -1, 2] = o_right
-    read[:, 0, 7] = o_left
-    read[:, :, 8:] = -v_in
-    y = read.transpose(0, 2, 1) @ sol
-    y_r, y_p, y_v = y[:, :, :n_rhs], y[:, :, n_rhs:n_rhs + 2], y[:, :, n_rhs + 2:n_rhs + 4]
-    on_left = np.empty((k, 10, 3))   # on (s, x) of the left separator
-    on_left[:, :, :2] = y_v
-    on_left[:, :, 2] = (y_v @ p_left[:, :, None])[:, :, 0] + o_left[:, None] * y[:, :, -2]
-    on_right = np.empty((k, 10, 3))  # on (x, t) of the right separator
-    on_right[:, :, 0] = (y_p @ v_sep[:, :, None])[:, :, 0] + o_right[:, None] * y[:, :, -1]
-    on_right[:, :, 1:] = y_p
+    # Forward: sol[c] = [Z_c | z_c] = block_c^-1 [e_33 e_34 e_35 | r_c], the
+    # block and r_c updated by the elimination of chunk c - 1.
+    cols = np.zeros((k, size, 3 + n_rhs))
+    cols[:, -3:, :3] = np.eye(3)
+    cols[:, 2:-2, 3:] = gen[:, :, 6:]
+    sol = np.empty_like(cols)
+    sol[0] = np.linalg.solve(block[0], cols[0])
+    for c in range(1, k):
+        read = low[c] @ sol[c - 1]
+        block[c, :3] -= read[:, :3] @ up[c - 1]
+        cols[c, :3, 3:] -= read[:, 3:]
+        sol[c] = np.linalg.solve(block[c], cols[c])
 
-    # Separator rows: s_c - S+_c, the heading row, and t_c - T+_{c+1}.
-    eye = np.eye(2)
-    lower = np.zeros((k, 5, 5))
-    lower[:, :, :3] = -on_left[:, :5]
-    lower[:, :2, :2] -= eye
-    lower[:, :2, 2] -= p_left
-    block = np.zeros((k, 5, 5))
-    block[:, :2, :2] = block[:, 3:, 3:] = eye
-    block[:, 2, :2] = v_sep
-    block[:, 2, 2] = diag[:, -1]
-    block[:, 2, 3:] = p_sep
-    block[:, :, 2:] -= on_right[:, :5]
-    block[:-1, :, :3] -= on_left[1:, 5:]
-    upper = np.zeros((k, 5, 5))
-    upper[:-1, :, 2:] = -on_right[1:, 5:]
-    upper[:-1, 3:, 2] -= v_sep[1:]
-    upper[:-1, 3:, 3:] -= eye
-    f = -y_r[:, :5]
-    f[:-1] -= y_r[1:, 5:]
-    f[:, 2] += r[:, -1]
-    z = block_tridiagonal_solve(lower, block, upper, f)
-
-    # Back to the interiors: x_a = X_r - [X_P | X_V | X_f | X_l] @ plus.
-    plus = np.zeros((k, 6, n_rhs))
-    plus[:, :2] = z[:, 3:] + v_sep[:, :, None] * z[:, None, 2]
-    plus[1:, 2:4] = z[:-1, :2] + p_sep[:-1, :, None] * z[:-1, None, 2]
-    plus[1:, 4] = o_left[1:, None] * z[:-1, 2]
-    plus[:, 5] = o_right[:, None] * z[:, 2]
-    x = np.empty((k, _CHUNK, n_rhs))
-    x[:, :-1] = sol[:, :, :n_rhs] - sol[:, :, n_rhs:] @ plus
-    x[:, -1] = z[:, 2]
-    return x.reshape(-1, n_rhs)[:m]
+    # Backward: x_c = z_c - Z_c (up_c x_{c+1}).
+    x = sol[:, :, 3:]
+    for c in range(k - 2, -1, -1):
+        x[c] -= sol[c, :, :3] @ (up[c] @ x[c + 1])
+    return x[:, 2:-2].reshape(-1, n_rhs)[:m]
 
 
 def newton_direction(hess: ChartHessian, g: np.ndarray) -> np.ndarray:
@@ -565,8 +496,8 @@ def newton_direction(hess: ChartHessian, g: np.ndarray) -> np.ndarray:
 
     The heading block is solved (_heading_solve) for g and the three border
     columns at once; a 3x3 Schur complement then closes the (bx, by, l)
-    border. No LAPACK call is larger than one (_CHUNK - 1)-square chunk.
-    Raises LinAlgError on a singular chunk or block.
+    border. No LAPACK call is larger than one (_CHUNK + 4)-square chunk block
+    with 7 right-hand sides. Raises LinAlgError on a singular chunk block.
     """
     rhs = np.empty((hess.diag.size, 4))
     rhs[:, 0] = g[3:]

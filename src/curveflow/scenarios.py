@@ -18,6 +18,7 @@ curvature discretization error at the terminal loop radius below a percent
 for eps = 0.1.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +110,11 @@ def make_scenario(sc: Scenario) -> DiscreteCurve:
     if sc.kind == "file":
         if not sc.path:
             raise BadParameters("file scenario needs a path")
-        pts = np.loadtxt(sc.path, dtype=float, ndmin=2)
+        with warnings.catch_warnings():  # an empty file is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            pts = np.loadtxt(sc.path, dtype=float, ndmin=2)
+        if pts.size == 0:
+            raise BadParameters(f"{sc.path}: no points")
         if pts.shape[1] != 2:
             raise BadParameters(f"{sc.path}: expected two columns, got {pts.shape[1]}")
         return resample_equal_arclength(pts, sc.n)

@@ -21,7 +21,6 @@ from curveflow.energy import (
     PrevFrame,
     _objective_hessian,
     _objective_raw,
-    block_tridiagonal_solve,
     newton_direction,
 )
 from curveflow.polyline import GAP_FLOOR
@@ -332,7 +331,7 @@ def test_gradient_rotation_direction_at_straight_curve():
     assert derivs[0] == pytest.approx(derivs[2], rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 32, 33, 34, 51, 64, 65, 66, 120, 481])
+@pytest.mark.parametrize("n", [2, 3, 5, 32, 33, 34, 51, 64, 65, 66, 120, 250, 481, 961])
 def test_newton_direction_matches_dense_solve(n):
     rng = np.random.default_rng(100 + n)
     base, edge_len, headings = random_open_curve(rng, n)
@@ -353,6 +352,24 @@ def test_newton_direction_matches_dense_solve(n):
                                atol=1e-10 * np.max(np.abs(expected)))
 
 
+@pytest.mark.parametrize("j", [0, 31, 32, 70, 118])
+def test_singular_heading_block_raises(j):
+    # Heading j gets a zero row and column, so the heading block is exactly
+    # singular: the solve must raise, not return a non-finite direction.
+    rng = np.random.default_rng(400)
+    n = 120
+    base, edge_len, headings = random_open_curve(rng, n)
+    frame = PrevFrame(from_reduced(ReducedCoords(base, edge_len, headings)))
+    z = np.concatenate([base, [edge_len], headings + rng.uniform(-0.08, 0.08, n - 1)])
+    _, grad = _objective_raw(z, frame, PARAMS, True)
+    hess = _objective_hessian(z, frame, PARAMS)
+    hess.diag[j] = hess.p[j] = hess.v[j] = 0.0
+    hess.off[max(j - 1, 0):j + 1] = 0.0
+    assert np.linalg.matrix_rank(dense_chart_hessian(hess)[3:, 3:]) == n - 2
+    with pytest.raises(np.linalg.LinAlgError):
+        newton_direction(hess, grad)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 51, 120, 481])
 def test_hessian_generators_match_row_form(n):
     rng = np.random.default_rng(300 + n)
@@ -369,24 +386,3 @@ def test_hessian_generators_match_row_form(n):
         if ref.size:
             np.testing.assert_allclose(got, ref, rtol=0,
                                        atol=1e-14 * np.max(np.abs(ref)))
-
-
-@pytest.mark.parametrize("n_blocks", [1, 2, 7, 8, 33])
-def test_block_cyclic_reduction_matches_dense_solve(n_blocks):
-    rng = np.random.default_rng(200 + n_blocks)
-    size, n_rhs = 5, 4
-    lower = rng.normal(size=(n_blocks, size, size))  # lower[0] is ignored
-    upper = rng.normal(size=(n_blocks, size, size))  # and so is upper[-1]
-    diag = rng.normal(size=(n_blocks, size, size)) + 4.0 * size * np.eye(size)
-    rhs = rng.normal(size=(n_blocks, size, n_rhs))
-    dense = np.zeros((n_blocks * size, n_blocks * size))
-    for j in range(n_blocks):
-        rows = slice(j * size, (j + 1) * size)
-        dense[rows, rows] = diag[j]
-        if j > 0:
-            dense[rows, (j - 1) * size:j * size] = lower[j]
-        if j < n_blocks - 1:
-            dense[rows, (j + 1) * size:(j + 2) * size] = upper[j]
-    expected = np.linalg.solve(dense, rhs.reshape(-1, n_rhs)).reshape(rhs.shape)
-    got = block_tridiagonal_solve(lower, diag, upper, rhs)
-    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)

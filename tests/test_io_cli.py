@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import os
 import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -325,13 +327,15 @@ def test_cli_entrypoint_subprocess(tmp_path):
     assert "usage" in proc.stderr.lower()
 
 
-def test_cli_output_is_independent_of_blas_threads(tmp_path):
-    # The solver's matrix-vector products and batched block solves go through
-    # BLAS and LAPACK; their thread count must not change a single output
-    # byte. These five gamma steps take Newton directions.
+@pytest.mark.parametrize("n", [120, 481])
+def test_cli_output_is_independent_of_blas_threads(tmp_path, n):
+    # The solver's matrix-vector products and the chunk block solves of the
+    # Newton sweep go through BLAS and LAPACK; their thread count must not
+    # change a single output byte. These three gamma steps take Newton
+    # directions, over 4 chunks at N = 120 and 15 at N = 481.
     preset = PRESETS["gamma"]
-    traj = run_flow(make_scenario(preset.scenario),
-                    FlowConfig(params=preset.params, n_steps=5))
+    traj = run_flow(make_scenario(dataclasses.replace(preset.scenario, n=n)),
+                    FlowConfig(params=preset.params, n_steps=3))
     assert all(r.n_newton > 0 for r in traj.reports)
     src = str(Path(curveflow.cli.__file__).resolve().parents[1])
     digests = []
@@ -341,7 +345,7 @@ def test_cli_output_is_independent_of_blas_threads(tmp_path):
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "curveflow.cli", "run", "--scenario", "gamma",
-             "--steps", "5", "--out", str(out)],
+             "--n", str(n), "--steps", "3", "--out", str(out)],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
@@ -554,6 +558,23 @@ def test_cli_one_column_polyline_file_exits_one(tmp_path, command):
     out = tmp_path / "out"
     code = main([*command, "--in", str(src), "--n", "7", "--out", str(out)])
     assert code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--scenario", "file", "--steps", "1"],
+    ["resample"],
+], ids=["run", "resample"])
+def test_cli_empty_polyline_file_exits_one_without_a_warning(tmp_path, capsys, command):
+    src = tmp_path / "in.txt"
+    src.write_text("")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*command, "--in", str(src), "--n", "7", "--out", str(out)])
+    assert code == 1
+    assert caught == []
+    assert f"{src}: no points" in capsys.readouterr().err
     assert not out.exists()
 
 
